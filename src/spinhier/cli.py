@@ -64,8 +64,13 @@ def parse_matrix(text: str) -> np.ndarray:
 def _parse_amplitudes(text: str) -> np.ndarray:
     doc = json.loads(text)
     if isinstance(doc, dict):
+        if "amplitudes" not in doc:
+            raise ValueError('state object has no "amplitudes" key')
         doc = doc["amplitudes"]
-    return np.array([complex(re, im) for re, im in doc])
+    try:
+        return np.array([complex(re, im) for re, im in doc])
+    except (TypeError, ValueError):
+        raise ValueError("state must be a list of [re, im] number pairs") from None
 
 
 def _spin_value(twice_j: int):
@@ -83,9 +88,15 @@ def _parse_area(text: str) -> float:
         if tail:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse area {text!r}")
-            value /= float(tail[1:])
-        return value
-    return float(cleaned)
+            divisor = float(tail[1:])
+            if divisor == 0.0:
+                raise ValueError(f"area {text!r} divides by zero")
+            value /= divisor
+    else:
+        value = float(cleaned)
+    if not math.isfinite(value):
+        raise ValueError(f"area must be finite, got {text!r}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -208,6 +219,8 @@ def _cmd_haar(args) -> None:
     values = [float(line) for line in _read_text(args.infile).split() if line.strip()]
     if args.inverse:
         n = len(values)
+        if n == 0 or n & (n - 1):
+            raise ValueError(f"coefficient count must be a power of two, got {n}")
         coarse_len = n >> args.levels
         approx = np.array(values[:coarse_len])
         pos = coarse_len

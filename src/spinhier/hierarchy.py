@@ -9,6 +9,18 @@ by blocks of 2^j qubits held at maximal spin, their detail complements W_j,
 per-level state profiles, level-conditioned block operators, and reduced
 density matrices over coarse labels.
 
+In the multiplet basis the ladder is label bookkeeping, kept in integer
+tables built once per register size on first use.  A basis state lies in
+W_j when j is the lowest level whose node spin is not maximal, and in V_M
+when every node is maximal, so a state profile is a histogram of squared
+hierarchic amplitudes over those bins.  A reduced density matrix scatters
+the amplitudes into a (fine part x coarse label) array A and returns
+A^T A^*.  The dense projectors V_j and W_j are kept as references for small
+registers; nothing else calls them.
+
+Dense operations are limited to ``MAX_DENSE_QUBITS`` = 8 qubits: trees are
+powers of two, and the next size would need a 2^16 x 2^16 transform.
+
 Conventions fixed here and relied on by the test fixtures:
 
 - trees pair adjacent qubits (0-1, 2-3, ...), then adjacent pairs, and so on;
@@ -23,14 +35,17 @@ Conventions fixed here and relied on by the test fixtures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from .angular_momentum import MultipletLabel, SpinLabel, cg
+from .angular_momentum import MAX_TWICE_J, MultipletLabel, SpinLabel, cg
 
-# Dense-matrix operations are capped at 2^12 amplitudes.
-MAX_DENSE_QUBITS = 12
+# 16 qubits, the next tree size, would need a 34 GB dense transform.
+MAX_DENSE_QUBITS = 8
+# ladder_dimensions is closed-form integer arithmetic, independent of the
+# dense cap.
+MAX_LADDER_LEVELS = 12
 MAX_TREE_QUBITS = 4096
 
 NORM_TOLERANCE = 1e-6
@@ -231,9 +246,82 @@ def _transform_with_states(num_qubits: int):
 def _check_dense(num_qubits: int) -> None:
     if num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(
-            f"dense operations are capped at 2^{MAX_DENSE_QUBITS} amplitudes "
-            f"({num_qubits} qubits requested)"
+            f"dense operations support at most {MAX_DENSE_QUBITS} qubits "
+            f"({num_qubits} requested)"
         )
+
+
+@dataclass(frozen=True)
+class _LevelGroups:
+    """Canonical basis states grouped by their coarse label at one level.
+
+    State k carries label ``labels[label_id[k]]`` and fine part number
+    ``fine_id[k]``; no two states share both ids.
+    """
+
+    labels: tuple[LevelLabel, ...]  # canonical first-seen order
+    label_index: dict[LevelLabel, int]
+    label_id: np.ndarray
+    fine_id: np.ndarray
+    num_fine: int
+
+
+# Label tables of the canonical basis, one per register size (and level),
+# each built on first use: analyze_state needs only the ladder bins.
+
+_SPIN_LABELS = tuple(SpinLabel(tj) for tj in range(MAX_TWICE_J + 1))
+
+
+def _readonly(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.intp)
+    array.flags.writeable = False
+    return array
+
+
+@cache
+def _basis_states(num_qubits: int) -> tuple[MultipletBasisState, ...]:
+    _, raw = _transform_with_states(num_qubits)
+    return tuple(
+        MultipletBasisState(tuple(_SPIN_LABELS[t] for t in path), MultipletLabel(tj, tm))
+        for path, tj, tm in raw
+    )
+
+
+@cache
+def _ladder_bins(num_qubits: int) -> np.ndarray:
+    """W_j index of each basis state: the lowest level whose node spin is not
+    maximal (2j != 2^level), or 0 when every node is maximal (the state is in V_M)."""
+    _, raw = _transform_with_states(num_qubits)
+    node_levels = _postorder_levels(num_qubits)
+    return _readonly([
+        min((lv for t, lv in zip(path, node_levels) if t != 2 ** lv), default=0)
+        for path, _, _ in raw
+    ])
+
+
+@cache
+def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
+    _, raw = _transform_with_states(num_qubits)
+    node_levels = _postorder_levels(num_qubits)
+    coarse = [i for i, lv in enumerate(node_levels) if lv >= level]
+    fine = [i for i, lv in enumerate(node_levels) if lv < level]
+    coarse_index: dict[tuple[tuple[int, ...], int], int] = {}
+    fine_index: dict[tuple[int, ...], int] = {}
+    label_id, fine_id = [], []
+    for path, _, tm in raw:
+        key = (tuple(path[i] for i in coarse), tm)
+        label_id.append(coarse_index.setdefault(key, len(coarse_index)))
+        fine_id.append(fine_index.setdefault(tuple(path[i] for i in fine), len(fine_index)))
+    labels = tuple(LevelLabel(tuple(_SPIN_LABELS[t] for t in spins), tm)
+                   for spins, tm in coarse_index)
+    return _LevelGroups(labels, {key: n for n, key in enumerate(labels)},
+                        _readonly(label_id), _readonly(fine_id), len(fine_index))
+
+
+def _level_groups(tree: CouplingTree, level: int) -> _LevelGroups:
+    if not 0 <= level <= tree.levels:
+        raise ValueError(f"level must be in 0..{tree.levels}, got {level}")
+    return _groups_at(tree.num_qubits, level)
 
 
 def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
@@ -251,11 +339,7 @@ def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
 def multiplet_basis_states(tree: CouplingTree) -> list[MultipletBasisState]:
     """Column labels of :func:`hierarchic_transform`, canonical order."""
     _check_dense(tree.num_qubits)
-    _, states = _transform_with_states(tree.num_qubits)
-    return [
-        MultipletBasisState(tuple(SpinLabel(t) for t in path), MultipletLabel(tj, tm))
-        for path, tj, tm in states
-    ]
+    return list(_basis_states(tree.num_qubits))
 
 
 def ladder_dimensions(levels: int) -> LadderDimensions:
@@ -264,8 +348,8 @@ def ladder_dimensions(levels: int) -> LadderDimensions:
     dim V_j = (2^j + 1)^(2^(M-j)): blocks of 2^j qubits restricted to their
     maximal spin 2^(j-1).  Values are exact integers for levels up to 12.
     """
-    if not 0 <= levels <= MAX_DENSE_QUBITS:
-        raise ValueError(f"levels must be in 0..{MAX_DENSE_QUBITS}, got {levels}")
+    if not 0 <= levels <= MAX_LADDER_LEVELS:
+        raise ValueError(f"levels must be in 0..{MAX_LADDER_LEVELS}, got {levels}")
     v = tuple((2 ** j + 1) ** (2 ** (levels - j)) for j in range(levels + 1))
     w = tuple(v[j - 1] - v[j] for j in range(1, levels + 1))
     return LadderDimensions(v, w)
@@ -276,6 +360,7 @@ def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:
 
     Blockwise tensor product of maximal-spin projectors, each assembled from
     the block's own transform columns with terminal spin (block size) / 2.
+    A dense reference for the label-based :func:`analyze_state`.
     """
     _check_dense(tree.num_qubits)
     if not 0 <= level <= tree.levels:
@@ -305,59 +390,38 @@ def _check_state(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
             f"state has {state.size} amplitudes, tree expects {2 ** tree.num_qubits}"
         )
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")
     return state
+
+
+def _hierarchic_amplitudes(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
+    """U^dagger psi, applying the real U to each part of psi so U stays real."""
+    matrix, _ = _transform_with_states(tree.num_qubits)
+    return matrix.T @ state.real + 1j * (matrix.T @ state.imag)
 
 
 def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     """Squared projection norms of a unit state onto W_1 ... W_M and V_M.
 
-    The entries sum to 1 (completeness of the ladder decomposition).
+    A histogram of the squared hierarchic amplitudes over the ladder bins of
+    their basis states.  The entries sum to 1 (completeness of the ladder
+    decomposition).
     """
+    _check_dense(tree.num_qubits)
     state = _check_state(state, tree)
-    projected_prev = state
-    weights = []
-    projected = state
-    for level in range(1, tree.levels + 1):
-        projected = approximation_projector(tree, level) @ state
-        weights.append(float(np.linalg.norm(projected_prev - projected) ** 2))
-        projected_prev = projected
-    return LadderProfile(tuple(weights), float(np.linalg.norm(projected) ** 2))
-
-
-def _coarse_fine_split(tree: CouplingTree, level: int):
-    """Index masks splitting a path into coarse (level >= cutoff) and fine parts."""
-    if not 0 <= level <= tree.levels:
-        raise ValueError(f"level must be in 0..{tree.levels}, got {level}")
-    node_levels = _postorder_levels(tree.num_qubits)
-    coarse = [i for i, lv in enumerate(node_levels) if lv >= level]
-    fine = [i for i, lv in enumerate(node_levels) if lv < level]
-    return coarse, fine
+    amplitudes = _hierarchic_amplitudes(state, tree)
+    weights = np.bincount(_ladder_bins(tree.num_qubits),
+                          weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
+                          minlength=tree.levels + 1)
+    return LadderProfile(tuple(float(w) for w in weights[1:]), float(weights[0]))
 
 
 def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
     """Distinct coarse labels at ``level``, in canonical basis order."""
     _check_dense(tree.num_qubits)
-    coarse, _ = _coarse_fine_split(tree, level)
-    _, states = _transform_with_states(tree.num_qubits)
-    seen: dict[LevelLabel, None] = {}
-    for path, _, tm in states:
-        key = LevelLabel(tuple(SpinLabel(path[i]) for i in coarse), tm)
-        seen.setdefault(key)
-    return list(seen)
-
-
-def _group_by_label(tree: CouplingTree, level: int):
-    coarse, fine = _coarse_fine_split(tree, level)
-    _, states = _transform_with_states(tree.num_qubits)
-    group_indices: dict[LevelLabel, list[int]] = {}
-    fine_parts = []
-    for idx, (path, _, tm) in enumerate(states):
-        key = LevelLabel(tuple(SpinLabel(path[i]) for i in coarse), tm)
-        group_indices.setdefault(key, []).append(idx)
-        fine_parts.append(tuple(path[i] for i in fine))
-    return group_indices, fine_parts
+    return list(_level_groups(tree, level).labels)
 
 
 def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
@@ -371,7 +435,7 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     result is unitary exactly when every block is unitary.
     """
     _check_dense(tree.num_qubits)
-    group_indices, _ = _group_by_label(tree, level)
+    groups = _level_groups(tree, level)
 
     def normalize(key):
         if isinstance(key, MultipletLabel):
@@ -381,9 +445,9 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     operator = np.eye(2 ** tree.num_qubits, dtype=complex)
     for key, block in blocks.items():
         key = normalize(key)
-        if key not in group_indices:
+        if key not in groups.label_index:
             raise ValueError(f"no basis states carry label {key} at level {level}")
-        indices = group_indices[key]
+        indices = np.flatnonzero(groups.label_id == groups.label_index[key])
         block = np.asarray(block, dtype=complex)
         if block.shape != (len(indices), len(indices)):
             raise ValueError(
@@ -402,24 +466,13 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     entries are the total squared amplitude of the hierarchic basis states
     carrying each label.  Returns ``(rho, labels)`` with labels in canonical
     order.
+
+    The amplitudes are scattered into a (fine part x coarse label) array A,
+    so rho = A^T A^*.
     """
+    _check_dense(tree.num_qubits)
     state = _check_state(state, tree)
-    matrix, _ = _transform_with_states(tree.num_qubits)
-    amplitudes = matrix.conj().T @ state
-
-    group_indices, fine_parts = _group_by_label(tree, level)
-    labels = list(group_indices)
-    label_pos = {key: n for n, key in enumerate(labels)}
-
-    buckets: dict[tuple[int, ...], list[tuple[int, complex]]] = {}
-    for key, indices in group_indices.items():
-        for idx in indices:
-            buckets.setdefault(fine_parts[idx], []).append((label_pos[key], amplitudes[idx]))
-
-    rho = np.zeros((len(labels), len(labels)), dtype=complex)
-    for entries in buckets.values():
-        vec = np.zeros(len(labels), dtype=complex)
-        for pos, amp in entries:
-            vec[pos] = amp
-        rho += np.outer(vec, vec.conj())
-    return rho, labels
+    groups = _level_groups(tree, level)
+    scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
+    scattered[groups.fine_id, groups.label_id] = _hierarchic_amplitudes(state, tree)
+    return scattered.T @ scattered.conj(), list(groups.labels)

@@ -175,6 +175,31 @@ def test_module_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,files,message", [
+    (["pulse", "--j0", "1.0", "--area", "pi/0"], {}, "divides by zero"),
+    (["pulse", "--j0", "1.0", "--area", "inf"], {}, "must be finite"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[1,2]"}, "[re, im]"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": '{"x":1}'}, '"amplitudes"'),
+    (["analyze", "--qubits", "2", "--in", "{state}"],
+     {"state": "[[NaN,0],[0,0],[0,0],[0,0]]"}, "norm nan"),
+    (["haar", "--inverse", "--in", "{coeffs}", "--levels", "1"], {"coeffs": ""},
+     "power of two, got 0"),
+    (["haar", "--inverse", "--in", "{coeffs}", "--levels", "1"],
+     {"coeffs": "1\n2\n3\n4\n5\n"}, "power of two, got 5"),
+], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
+        "haar-inverse-empty", "haar-inverse-odd"])
+def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])

@@ -137,6 +137,24 @@ def test_transform_rejects_oversized_register():
         hi.hierarchic_transform(tree)
 
 
+def test_dense_entry_points_reject_sixteen_qubits():
+    # the cap is checked before anything of size 2^16 x 2^16 is built
+    tree = hi.build_coupling_tree(16)
+    state = np.zeros(2 ** 16)
+    state[0] = 1.0
+    calls = [
+        lambda: hi.multiplet_basis_states(tree),
+        lambda: hi.analyze_state(state, tree),
+        lambda: hi.reduce_to_level(state, tree, 2),
+        lambda: hi.level_labels(tree, 2),
+        lambda: hi.conditioned_operator(tree, 2, {}),
+        lambda: hi.approximation_projector(tree, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"at most 8 qubits \(16 requested\)"):
+            call()
+
+
 # ---------------------------------------------------------------- the ladder
 
 def test_ladder_dimensions_worked_example():
@@ -164,6 +182,8 @@ def test_ladder_dimensions_telescoping():
         assert dims.v[0] == 2 ** (2 ** levels)
         for j in range(1, levels + 1):
             assert dims.v[j - 1] == dims.v[j] + dims.w[j - 1]
+    with pytest.raises(ValueError):
+        hi.ladder_dimensions(13)
 
 
 def test_projector_ranks_match_ladder_dimensions():
@@ -240,6 +260,8 @@ def test_analyze_rejects_bad_states():
         hi.analyze_state(np.array([1.0, 0.0]), tree)  # wrong size
     with pytest.raises(ValueError):
         hi.analyze_state(np.array([1.0, 1.0, 0.0, 0.0]), tree)  # not normalized
+    with pytest.raises(ValueError):
+        hi.analyze_state(np.array([np.nan, 0.0, 0.0, 0.0]), tree)  # norm is NaN
 
 
 def test_basis_change_consistency():
