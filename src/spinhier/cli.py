@@ -207,6 +207,9 @@ def _cmd_pulse(args) -> None:
 
 def _cmd_jsweep(args) -> None:
     params = quantum_dot.DotParameters.gaas(d=args.d)
+    for option in ("bmin", "bmax"):
+        if not math.isfinite(getattr(args, option)):
+            raise ValueError(f"--{option} must be finite, got {getattr(args, option)}")
     fields = np.linspace(args.bmin, args.bmax, args.points)
     results = quantum_dot.sweep_exchange(params, fields, c=args.c)
     lines = ["B_tesla,b,J_meV"]
@@ -221,6 +224,9 @@ def _cmd_haar(args) -> None:
         n = len(values)
         if n == 0 or n & (n - 1):
             raise ValueError(f"coefficient count must be a power of two, got {n}")
+        max_levels = n.bit_length() - 1
+        if not 0 <= args.levels <= max_levels:
+            raise ValueError(f"levels must be in 0..{max_levels} for length {n}")
         coarse_len = n >> args.levels
         approx = np.array(values[:coarse_len])
         pos = coarse_len

@@ -197,7 +197,7 @@ def _postorder_levels(num_qubits: int) -> list[int]:
 
 
 # Cached per register size; all balanced trees of equal size are identical.
-# Entries are (orthogonal matrix, [(path twice_j tuple, twice_J, twice_M)]).
+# Entries are (read-only orthogonal matrix, [(path twice_j tuple, twice_J, twice_M)]).
 _TRANSFORM_CACHE: dict[int, tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]] = {}
 
 
@@ -205,7 +205,9 @@ def _transform_with_states(num_qubits: int):
     if num_qubits in _TRANSFORM_CACHE:
         return _TRANSFORM_CACHE[num_qubits]
     if num_qubits == 1:
-        result = (np.eye(2), [((), 1, -1), ((), 1, 1)])
+        matrix = np.eye(2)
+        matrix.flags.writeable = False
+        result = (matrix, [((), 1, -1), ((), 1, 1)])
         _TRANSFORM_CACHE[1] = result
         return result
 
@@ -238,6 +240,7 @@ def _transform_with_states(num_qubits: int):
     order = sorted(range(len(states)),
                    key=lambda k: (-states[k][1], states[k][2], states[k][0]))
     matrix = np.column_stack([columns[k] for k in order])
+    matrix.flags.writeable = False
     result = (matrix, [states[k] for k in order])
     _TRANSFORM_CACHE[num_qubits] = result
     return result
@@ -330,10 +333,13 @@ def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
     Entry [i, k] is the overlap of product state i (qubit 0 most significant,
     down before up) with multiplet state k in canonical order; hierarchic
     amplitudes of a register state are ``u.conj().T @ psi``.
+
+    The result is the cached matrix itself and is read-only: writing to it
+    raises ``ValueError``; copy it first to modify it.
     """
     _check_dense(tree.num_qubits)
     matrix, _ = _transform_with_states(tree.num_qubits)
-    return matrix.copy()
+    return matrix
 
 
 def multiplet_basis_states(tree: CouplingTree) -> list[MultipletBasisState]:

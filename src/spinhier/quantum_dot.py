@@ -10,12 +10,13 @@ dimensionful outputs are meV and nm, derived from the pinned constants table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
-_BESSEL_SERIES_CUTOFF = 15.0
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class DotParameters:
     b_field: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.hbar_omega0 <= 0:
             raise ValueError("confinement energy must be positive")
         if self.mass_ratio <= 0:
@@ -75,16 +80,26 @@ def bohr_radius(p: DotParameters) -> float:
     return HBARC_MEV_NM / math.sqrt(p.mass_ratio * MEC2_MEV * p.hbar_omega0)
 
 
+def _check_all(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first offending element unless all are ok."""
+    if not ok.all():
+        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
+
+
+def _dimensionless_fields(p: DotParameters, b_fields) -> np.ndarray:
+    tesla = np.asarray(b_fields, dtype=float)
+    _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
+    larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
+    return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
+
+
 def dimensionless_field(p: DotParameters) -> float:
     """b = sqrt(1 + (omega_L / omega0)^2), with Larmor frequency eB / 2m.
 
     hbar * omega_L equals mu_B * B / mass_ratio; b = 1 at zero field and
     increases strictly with B.
     """
-    if p.b_field < 0:
-        raise ValueError("field must be non-negative")
-    larmor = MU_B_MEV_PER_T * p.b_field / p.mass_ratio
-    return math.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
+    return float(_dimensionless_fields(p, p.b_field))
 
 
 def coulomb_parameter(p: DotParameters) -> float:
@@ -92,77 +107,62 @@ def coulomb_parameter(p: DotParameters) -> float:
     return math.sqrt(math.pi / 2) * (E2_MEV_NM / (p.epsilon * bohr_radius(p))) / p.hbar_omega0
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
+def bessel_i0(x):
+    """Modified Bessel function of the first kind, order zero, on [0, 700].
 
-    Power series below x = 15, asymptotic expansion (truncated at its smallest
-    term) above; relative error below 1e-12 across 0 <= x <= 700.
+    A domain-checked ``np.i0``: a float for a scalar argument, an array for an
+    array.  The upper end guards exp(x) against overflow.
     """
-    if not 0.0 <= x <= BESSEL_MAX_ARG:
-        raise ValueError(f"argument must be in [0, {BESSEL_MAX_ARG}], got {x}")
-    if x < _BESSEL_SERIES_CUTOFF:
-        quarter = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        k = 1
-        while True:
-            term *= quarter / (k * k)
-            new_total = total + term
-            if new_total == total:
-                return total
-            total = new_total
-            k += 1
-    # I0(x) ~ e^x / sqrt(2 pi x) * sum_k [(2k-1)!!]^2 / (k! (8x)^k)
-    total = 1.0
-    term = 1.0
-    k = 1
-    while True:
-        factor = (2 * k - 1) ** 2 / (8.0 * k * x)
-        if factor >= 1.0:  # series started diverging
-            break
-        new_term = term * factor
-        if new_term >= term:
-            break
-        term = new_term
-        total += term
-        if term < 1e-18 * total:
-            break
-        k += 1
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
+    values = np.asarray(x, dtype=float)
+    _check_all((values >= 0.0) & (values <= BESSEL_MAX_ARG), values,
+               f"argument must be in [0, {BESSEL_MAX_ARG}]")
+    result = np.i0(values)
+    return float(result) if result.ndim == 0 else result
 
 
-def exchange_coupling(b: float, d: float, c: float) -> float:
+def exchange_coupling(b, d: float, c: float):
     """Exchange splitting of the coupled pair in units of the confinement energy.
 
     J / (hbar omega0) = [ c sqrt(b) { e^{-b d^2} I0(b d^2)
                           - e^{d^2 (b - 1/b)} I0(d^2 (b - 1/b)) }
                           + 3/(4b) (1 + b d^2) ] / sinh(2 d^2 (2b - 1/b))
+
+    ``b`` is a scalar (float result) or an array (array result); the domain is
+    checked over every element.
     """
-    if d <= 0:
-        raise ValueError("half-distance d must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"half-distance d must be positive and finite, got {d}")
+    if not math.isfinite(c):
+        raise ValueError(f"Coulomb parameter c must be finite, got {c}")
+    b = np.asarray(b, dtype=float)
+    _check_all(b > 0, b, "field parameter b must be positive")
     sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
-    if sinh_arg <= 0:
-        raise ValueError(f"degenerate geometry: sinh argument {sinh_arg} <= 0")
+    _check_all(sinh_arg > 0, sinh_arg, "degenerate geometry: sinh argument must be positive")
     u = b * d * d
     v = d * d * (b - 1.0 / b)
-    braces = math.exp(-u) * bessel_i0(u) - math.exp(v) * bessel_i0(v)
-    return (c * math.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u)) / math.sinh(sinh_arg)
+    braces = np.exp(-u) * bessel_i0(u) - np.exp(v) * bessel_i0(v)
+    j = (c * np.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u)) / np.sinh(sinh_arg)
+    return float(j) if j.ndim == 0 else j
+
+
+def _exchange_mev(p: DotParameters, b_fields, c: float | None):
+    """(b array, c, J array in meV) over the fields, all in one array pass."""
+    if c is None:
+        c = coulomb_parameter(p)
+    b = _dimensionless_fields(p, b_fields)
+    return b, c, exchange_coupling(b, p.d, c) * p.hbar_omega0
 
 
 def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResult:
     """Exchange coupling in meV at the parameter record's field point."""
-    b = dimensionless_field(p)
-    if c is None:
-        c = coulomb_parameter(p)
-    j = exchange_coupling(b, p.d, c) * p.hbar_omega0
-    return ExchangeResult(b=b, c=c, j_mev=j)
+    b, c, j = _exchange_mev(p, [p.b_field], c)
+    return ExchangeResult(b=float(b[0]), c=c, j_mev=float(j[0]))
 
 
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
     """Exchange coupling across a sequence of field values, in input order."""
-    if c is None:
-        c = coulomb_parameter(p)
-    return [exchange_at_field(replace(p, b_field=float(b)), c) for b in b_fields]
+    b, c, j = _exchange_mev(p, b_fields, c)
+    return [ExchangeResult(b=bi, c=c, j_mev=ji) for bi, ji in zip(b.tolist(), j.tolist())]
 
 
 def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,

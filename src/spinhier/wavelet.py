@@ -1,10 +1,10 @@
 """Classical Haar pyramid: the reference scheme the spin hierarchy mirrors.
 
-One-dimensional orthonormal filter-bank decomposition on dyadic-length
-signals.  The low-pass output at each level is (s_{2k} + s_{2k+1}) / sqrt(2)
-for the Haar taps, the high-pass output the matching difference; iterating
-halves the resolution per level while conserving coefficient count and
-energy.  Filters longer than two taps are applied circularly.
+One-dimensional orthonormal decomposition of dyadic-length signals.  The
+low-pass output at each level is (s_{2k} + s_{2k+1}) / sqrt(2), the high-pass
+output the matching difference; iterating halves the resolution per level
+while conserving coefficient count and energy.  Each level is two strided
+slices of the whole array.
 """
 
 from __future__ import annotations
@@ -14,23 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class FilterPair:
-    """Low-pass / high-pass analysis taps h and g."""
-
-    h: tuple[float, ...]
-    g: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.h) == 0 or len(self.g) == 0:
-            raise ValueError("filter taps must be non-empty")
-
-
-def haar_filter() -> FilterPair:
-    """Orthonormal Haar pair: h = (1, 1)/sqrt(2), g = (1, -1)/sqrt(2)."""
-    s = 1.0 / sqrt(2.0)
-    return FilterPair(h=(s, s), g=(s, -s))
+_S = 1.0 / sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -53,12 +37,16 @@ class PyramidDecomposition:
         return len(self.approximation) + sum(len(d) for d in self.details)
 
 
-def _analysis_step(signal: np.ndarray, taps) -> np.ndarray:
-    n = len(signal)
-    out = np.zeros(n // 2)
-    for offset, tap in enumerate(taps):
-        out += tap * signal[np.arange(offset, offset + n, 2) % n]
-    return out
+def _butterfly(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s x + s y, s x - s y) with s = 1/sqrt(2), elementwise.
+
+    Bit for bit what a two-tap filter bank gives when it sums the tap
+    products into zeros: products before sums, and the + 0.0 turns a -0.0
+    into 0.0 as that zero start does.
+    """
+    sx = _S * x + 0.0
+    sy = _S * y
+    return sx + sy, sx - sy
 
 
 def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
@@ -69,40 +57,28 @@ def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 1 or len(signal) < 2 or len(signal) % 2 != 0:
         raise ValueError(f"signal length must be even and >= 2, got shape {signal.shape}")
-    pair = haar_filter()
-    return _analysis_step(signal, pair.h), _analysis_step(signal, pair.g)
+    return _butterfly(signal[0::2], signal[1::2])
 
 
-def _check_dyadic(signal: np.ndarray) -> None:
+def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
+    """Iterated Haar analysis down to the requested level."""
+    signal = np.asarray(signal, dtype=float)
     n = len(signal)
     if n < 1 or n & (n - 1) != 0:
         raise ValueError(f"signal length must be a power of two, got {n}")
-
-
-def pyramid_forward(signal, levels: int, filters: FilterPair | None = None) -> PyramidDecomposition:
-    """Iterated filter-bank analysis down to the requested level."""
-    signal = np.asarray(signal, dtype=float)
-    _check_dyadic(signal)
-    max_levels = len(signal).bit_length() - 1
+    max_levels = n.bit_length() - 1
     if not 0 <= levels <= max_levels:
-        raise ValueError(f"levels must be in 0..{max_levels} for length {len(signal)}")
-    if filters is None:
-        filters = haar_filter()
+        raise ValueError(f"levels must be in 0..{max_levels} for length {n}")
     approx = signal
     details = []
     for _ in range(levels):
-        low = _analysis_step(approx, filters.h)
-        high = _analysis_step(approx, filters.g)
+        approx, high = haar_step(approx)
         details.append(high)
-        approx = low
     return PyramidDecomposition(approximation=approx, details=tuple(details))
 
 
-def pyramid_inverse(decomposition: PyramidDecomposition,
-                    filters: FilterPair | None = None) -> np.ndarray:
-    """Exact reconstruction from an orthonormal pyramid decomposition."""
-    if filters is None:
-        filters = haar_filter()
+def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
+    """Exact reconstruction from a Haar pyramid decomposition."""
     approx = np.asarray(decomposition.approximation, dtype=float)
     for high in reversed(decomposition.details):
         high = np.asarray(high, dtype=float)
@@ -110,12 +86,7 @@ def pyramid_inverse(decomposition: PyramidDecomposition,
             raise ValueError(
                 f"detail length {len(high)} does not match approximation {len(approx)}"
             )
-        n = 2 * len(approx)
-        signal = np.zeros(n)
-        # Adjoint of the analysis step: transpose of the decimated convolution.
-        for offset, tap in enumerate(filters.h):
-            np.add.at(signal, np.arange(offset, offset + n, 2) % n, tap * approx)
-        for offset, tap in enumerate(filters.g):
-            np.add.at(signal, np.arange(offset, offset + n, 2) % n, tap * high)
+        signal = np.empty(2 * len(approx))
+        signal[0::2], signal[1::2] = _butterfly(approx, high)
         approx = signal
     return approx

@@ -129,6 +129,34 @@ def test_jsweep_csv(tmp_path, capsys):
     assert rows[:, 2].min() < 0.0 < rows[:, 2].max()
 
 
+# `jsweep --bmin 0 --bmax 2 --points 11 --d 0.7` as printed when I0 was a
+# hand-written series/asymptotic expansion; np.i0 moves J only in the last
+# ulps, while the field and b columns must stay exact.
+JSWEEP_C13_ROWS = [
+    ("0.0", "1.0", 0.7650576219032199),
+    ("0.2", "1.0016572660269725", 0.7426617365443653),
+    ("0.4", "1.0066126933128334", 0.677237179999189),
+    ("0.6000000000000001", "1.0148179675496791", 0.5737597285039862),
+    ("0.8", "1.0261951360993997", 0.4395793216142331),
+    ("1.0", "1.0406401705756545", 0.2833111651598597),
+    ("1.2000000000000002", "1.058027423579676", 0.11374518939665562),
+    ("1.4000000000000001", "1.0782145661448028", -0.06101278768865948),
+    ("1.6", "1.101047605426878", -0.2340775980597593),
+    ("1.8", "1.1263656446087817", -0.40001495455076763),
+    ("2.0", "1.1540051379707585", -0.5548406495497146),
+]
+
+
+def test_jsweep_pinned_columns(capsys):
+    code, out, _ = run_cli(capsys, "jsweep", "--bmin", "0", "--bmax", "2",
+                           "--points", "11", "--d", "0.7")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(field, b) for field, b, _ in rows] == [(f, b) for f, b, _ in JSWEEP_C13_ROWS]
+    for (_, _, j), (_, _, pinned) in zip(rows, JSWEEP_C13_ROWS):
+        assert abs(float(j) - pinned) <= 1e-13
+
+
 def test_haar_round_trip(tmp_path, capsys):
     signal = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
     infile = tmp_path / "signal.csv"
@@ -186,8 +214,20 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "power of two, got 0"),
     (["haar", "--inverse", "--in", "{coeffs}", "--levels", "1"],
      {"coeffs": "1\n2\n3\n4\n5\n"}, "power of two, got 5"),
+    (["haar", "--inverse", "--in", "{coeffs}", "--levels", "5"],
+     {"coeffs": "1\n2\n3\n4\n5\n6\n7\n8\n"}, "levels must be in 0..3 for length 8"),
+    (["haar", "--inverse", "--in", "{coeffs}", "--levels", "-1"],
+     {"coeffs": "1\n2\n3\n4\n5\n6\n7\n8\n"}, "levels must be in 0..3 for length 8"),
+    (["jsweep", "--c", "nan", "--points", "3"], {}, "c must be finite, got nan"),
+    (["jsweep", "--c", "inf", "--points", "3"], {}, "c must be finite, got inf"),
+    (["jsweep", "--d", "nan", "--points", "3"], {}, "d must be finite, got nan"),
+    (["jsweep", "--bmax", "inf"], {}, "--bmax must be finite"),
+    (["jsweep", "--bmin", "nan"], {}, "--bmin must be finite"),
+    (["estimates", "--hbar-omega0", "nan"], {}, "hbar_omega0 must be finite"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
-        "haar-inverse-empty", "haar-inverse-odd"])
+        "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
+        "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
+        "estimates-nan"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

@@ -103,6 +103,20 @@ def test_transform_two_qubits_equals_pair_matrix_after_reorder():
     assert [s.terminal.twice_m for s in states[:3]] == [-2, 0, 2]
 
 
+def test_transform_is_read_only_cached_matrix():
+    tree = hi.build_coupling_tree(4)
+    u = hi.hierarchic_transform(tree)
+    expected = u.copy()
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        u *= 2.0
+    again = hi.hierarchic_transform(tree)
+    assert again is u
+    assert np.array_equal(again, expected)
+    assert np.max(np.abs(again.T @ again - np.eye(16))) < 1e-12
+
+
 def test_transform_single_qubit_is_identity():
     tree = hi.build_coupling_tree(1)
     assert np.array_equal(hi.hierarchic_transform(tree), np.eye(2))

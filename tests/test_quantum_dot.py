@@ -36,6 +36,13 @@ def test_parameter_validation():
         qd.DotParameters(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=0.5, d=0.7)
     with pytest.raises(ValueError):
         qd.DotParameters(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=13.1, d=0.0)
+    for name in ("g", "hbar_omega0", "mass_ratio", "epsilon", "d", "b_field"):
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = dict(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=13.1,
+                          d=0.7, b_field=0.0)
+            fields[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                qd.DotParameters(**fields)
 
 
 def test_bohr_radius_gaas():
@@ -96,6 +103,10 @@ def test_bessel_bounds_and_domain():
         qd.bessel_i0(-0.5)
     with pytest.raises(ValueError):
         qd.bessel_i0(701.0)
+    with pytest.raises(ValueError, match="got 701.0"):
+        qd.bessel_i0(np.array([0.0, 5.0, 701.0]))
+    with pytest.raises(ValueError, match="got nan"):
+        qd.bessel_i0(math.nan)
 
 
 def test_exchange_golden_value():
@@ -112,12 +123,22 @@ def test_exchange_domain_errors():
         qd.exchange_coupling(0.5, 0.7, 2.36)  # 2b - 1/b < 0
     with pytest.raises(ValueError):
         qd.exchange_coupling(1.0, -0.7, 2.36)
+    with pytest.raises(ValueError, match="degenerate geometry"):
+        qd.exchange_coupling(np.array([1.0, 2.0, 0.5]), 0.7, 2.36)  # one bad element
+    with pytest.raises(ValueError, match="b must be positive"):
+        qd.exchange_coupling(np.array([1.0, -0.5]), 0.7, 2.36)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="c must be finite"):
+            qd.exchange_coupling(1.0, 0.7, bad)
+        with pytest.raises(ValueError, match="b must be positive|argument must be in"):
+            qd.exchange_coupling(np.array([1.0, bad]), 0.7, 2.36)
+    with pytest.raises(ValueError, match="field must be finite"):
+        qd.sweep_exchange(GAAS, [0.0, math.inf])
 
 
 def test_exchange_continuity_grid():
     for d in (0.5, 1.0, 1.5):
-        values = [qd.exchange_coupling(b, d, 2.36)
-                  for b in np.linspace(1.0 + 1e-9, 4.0, 10_000)]
+        values = qd.exchange_coupling(np.linspace(1.0 + 1e-9, 4.0, 10_000), d, 2.36)
         assert np.all(np.isfinite(values))
         jumps = np.abs(np.diff(values))
         assert jumps.max() < 0.05  # no spikes across the grid

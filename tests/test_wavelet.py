@@ -37,11 +37,6 @@ def test_haar_step_rejects_odd_length():
         wv.haar_step([1.0])
 
 
-def test_filter_pair_validation():
-    with pytest.raises(ValueError):
-        wv.FilterPair(h=(), g=(0.5,))
-
-
 def test_forward_constant_signal():
     decomposition = wv.pyramid_forward(np.ones(8), 3)
     assert decomposition.approximation == pytest.approx([2 * SQ2], abs=1e-12)
