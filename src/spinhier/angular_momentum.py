@@ -3,16 +3,15 @@
 Angular momenta are stored as twice their value (``twice_j``), so half-integer
 spins are exact integers and parity checks are trivial.  Coefficients follow
 the Condon-Shortley phase convention and are evaluated through the Racah
-closed-form sum with exact integer factorial arithmetic; only the final square
-root is taken in floating point.  This is free of cancellation for every
+closed-form sum in exact integer arithmetic; only the final square root is
+taken in floating point.  This is free of cancellation for every
 j <= MAX_TWICE_J / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
 
 import numpy as np
 
@@ -94,8 +93,13 @@ class MultipletLabel:
         return self.twice_j + 1
 
 
-def _racah_sum(tj1, tm1, tj2, tm2, tj, tm) -> Fraction:
-    """Alternating Racah sum; exact rational value."""
+def _cg_value(tj1, tm1, tj2, tm2, tj, tm) -> float:
+    """Racah closed form for labels that pass every selection rule.
+
+    The alternating sum is one integer numerator over the lcm of its term
+    denominators, so the squared coefficient is a single int / int ratio,
+    which Python rounds correctly; only the square root is inexact.
+    """
     # All arguments below are guaranteed integral by the parity checks.
     b1 = (tj1 + tj2 - tj) // 2
     b2 = (tj1 - tm1) // 2
@@ -103,19 +107,33 @@ def _racah_sum(tj1, tm1, tj2, tm2, tj, tm) -> Fraction:
     a1 = (tj - tj2 + tm1) // 2
     a2 = (tj - tj1 - tm2) // 2
     k_min = max(0, -a1, -a2)
-    k_max = min(b1, b2, b3)
-    total = Fraction(0)
-    for k in range(k_min, k_max + 1):
-        den = (
-            factorial(k)
-            * factorial(b1 - k)
-            * factorial(b2 - k)
-            * factorial(b3 - k)
-            * factorial(a1 + k)
-            * factorial(a2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
-    return total
+    dens = [
+        factorial(k) * factorial(b1 - k) * factorial(b2 - k) * factorial(b3 - k)
+        * factorial(a1 + k) * factorial(a2 + k)
+        for k in range(k_min, min(b1, b2, b3) + 1)
+    ]
+    common = lcm(*dens)
+    s = sum(-(common // den) if k % 2 else common // den
+            for k, den in enumerate(dens, k_min))
+    if s == 0:
+        return 0.0
+    # Squared prefactor (triangle coefficient times the m factorials); the
+    # sign lives in the sum.
+    num2 = (
+        (tj + 1)
+        * factorial(b1)
+        * factorial((tj1 - tj2 + tj) // 2)
+        * factorial((-tj1 + tj2 + tj) // 2)
+        * factorial((tj + tm) // 2)
+        * factorial((tj - tm) // 2)
+        * factorial(b2)
+        * factorial((tj1 + tm1) // 2)
+        * factorial((tj2 - tm2) // 2)
+        * factorial(b3)
+    )
+    den2 = factorial((tj1 + tj2 + tj) // 2 + 1) * common * common
+    root = sqrt(num2 * s * s / den2)
+    return root if s > 0 else -root
 
 
 def cg(j1: SpinLabel, twice_m1: int, j2: SpinLabel, twice_m2: int,
@@ -133,27 +151,7 @@ def cg(j1: SpinLabel, twice_m1: int, j2: SpinLabel, twice_m2: int,
         return 0.0
     if tj < abs(tj1 - tj2) or tj > tj1 + tj2 or (tj1 + tj2 + tj) % 2 != 0:
         return 0.0
-
-    s = _racah_sum(tj1, twice_m1, tj2, twice_m2, tj, tm)
-    if s == 0:
-        return 0.0
-    # Squared prefactor as an exact rational; the sign lives in the sum.
-    delta2 = Fraction(
-        factorial((tj1 + tj2 - tj) // 2)
-        * factorial((tj1 - tj2 + tj) // 2)
-        * factorial((-tj1 + tj2 + tj) // 2),
-        factorial((tj1 + tj2 + tj) // 2 + 1),
-    )
-    norm2 = (
-        factorial((tj + tm) // 2)
-        * factorial((tj - tm) // 2)
-        * factorial((tj1 - twice_m1) // 2)
-        * factorial((tj1 + twice_m1) // 2)
-        * factorial((tj2 - twice_m2) // 2)
-        * factorial((tj2 + twice_m2) // 2)
-    )
-    value2 = (tj + 1) * delta2 * norm2 * s * s
-    return (1.0 if s > 0 else -1.0) * sqrt(float(value2))
+    return _cg_value(tj1, twice_m1, tj2, twice_m2, tj, tm)
 
 
 def multiplet_content(j1: SpinLabel, j2: SpinLabel) -> list[SpinLabel]:
@@ -166,20 +164,6 @@ def multiplet_content(j1: SpinLabel, j2: SpinLabel) -> list[SpinLabel]:
     return [SpinLabel(tj) for tj in range(hi, lo - 1, -2)]
 
 
-def _product_rows(j1: SpinLabel, j2: SpinLabel):
-    """(2m1, 2m2) pairs; first factor slowest, magnetic labels ascending."""
-    return [(tm1, tm2) for tm1 in j1.twice_m_values() for tm2 in j2.twice_m_values()]
-
-
-def _multiplet_columns(j1: SpinLabel, j2: SpinLabel) -> list[MultipletLabel]:
-    """(J, M) labels ordered by ascending J, then ascending M."""
-    cols = []
-    for spin in reversed(multiplet_content(j1, j2)):
-        for tm in spin.twice_m_values():
-            cols.append(MultipletLabel(spin.twice_j, tm))
-    return cols
-
-
 def couple_pair_matrix(j1: SpinLabel, j2: SpinLabel) -> np.ndarray:
     """Real orthogonal change of basis between a product pair and its multiplets.
 
@@ -187,12 +171,17 @@ def couple_pair_matrix(j1: SpinLabel, j2: SpinLabel) -> np.ndarray:
     ``row`` (first factor varies slowest, m ascending, so for two spin-1/2 the
     rows are down-down, down-up, up-down, up-up) and multiplet state ``col``
     (ascending J, then ascending M).  Columns are the coupled states expressed
-    in the product basis.
+    in the product basis.  Only entries with m1 + m2 = M are evaluated; the
+    rest are exactly 0.0.
     """
-    rows = _product_rows(j1, j2)
-    cols = _multiplet_columns(j1, j2)
-    a = np.zeros((len(rows), len(cols)))
-    for i, (tm1, tm2) in enumerate(rows):
-        for k, label in enumerate(cols):
-            a[i, k] = cg(j1, tm1, j2, tm2, label)
+    tj1, tj2 = j1.twice_j, j2.twice_j
+    dim = (tj1 + 1) * (tj2 + 1)
+    a = np.zeros((dim, dim))
+    col = 0
+    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        for tm in range(-tj, tj + 1, 2):
+            for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2):
+                row = (tm1 + tj1) // 2 * (tj2 + 1) + (tm - tm1 + tj2) // 2
+                a[row, col] = _cg_value(tj1, tm1, tj2, tm - tm1, tj, tm)
+            col += 1
     return a

@@ -62,14 +62,17 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def _parse_amplitudes(text: str) -> np.ndarray:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("state JSON is nested too deeply") from None
     if isinstance(doc, dict):
         if "amplitudes" not in doc:
             raise ValueError('state object has no "amplitudes" key')
         doc = doc["amplitudes"]
     try:
         return np.array([complex(re, im) for re, im in doc])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("state must be a list of [re, im] number pairs") from None
 
 
@@ -141,12 +144,17 @@ def _cmd_transform(args) -> None:
         raise ValueError(
             f"state has {amplitudes.size} amplitudes, expected {2 ** args.qubits}"
         )
-    if args.direction == "forward":
-        result = matrix.conj().T @ amplitudes
-        basis = "multiplet"
-    else:
-        result = matrix @ amplitudes
-        basis = "product"
+    # A linear map: any finite vector is accepted, normalized or not.
+    if not np.all(np.isfinite(amplitudes)):
+        raise ValueError("state amplitudes must be finite")
+    # an overflow gives inf or nan, which _vector_payload rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.direction == "forward":
+            result = matrix.conj().T @ amplitudes
+            basis = "multiplet"
+        else:
+            result = matrix @ amplitudes
+            basis = "product"
     states = hierarchy.multiplet_basis_states(tree)
     doc = {
         "qubits": args.qubits,
@@ -210,6 +218,8 @@ def _cmd_jsweep(args) -> None:
     for option in ("bmin", "bmax"):
         if not math.isfinite(getattr(args, option)):
             raise ValueError(f"--{option} must be finite, got {getattr(args, option)}")
+    if args.bmin > args.bmax:
+        raise ValueError(f"--bmin {args.bmin} exceeds --bmax {args.bmax}")
     fields = np.linspace(args.bmin, args.bmax, args.points)
     results = quantum_dot.sweep_exchange(params, fields, c=args.c)
     lines = ["B_tesla,b,J_meV"]
@@ -220,6 +230,9 @@ def _cmd_jsweep(args) -> None:
 
 def _cmd_haar(args) -> None:
     values = [float(line) for line in _read_text(args.infile).split() if line.strip()]
+    bad = next((v for v in values if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"input values must be finite, got {bad}")
     if args.inverse:
         n = len(values)
         if n == 0 or n & (n - 1):
@@ -236,12 +249,17 @@ def _cmd_haar(args) -> None:
             details.append(np.array(values[pos:pos + length]))
             pos += length
         decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
-        out_values = wavelet.pyramid_inverse(decomposition)
+        # an overflow gives inf or nan, which the check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_values = wavelet.pyramid_inverse(decomposition)
     else:
-        decomposition = wavelet.pyramid_forward(np.array(values), args.levels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decomposition = wavelet.pyramid_forward(np.array(values), args.levels)
         stacked = [decomposition.approximation]
         stacked.extend(reversed(decomposition.details))  # coarsest detail first
         out_values = np.concatenate(stacked)
+    if not np.all(np.isfinite(out_values)):
+        raise ValueError("result overflows the float range")
     _emit("\n".join(_csv_float(v) for v in out_values) + "\n", args.out)
 
 
@@ -284,14 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply the hierarchic change of basis")
     p.add_argument("--qubits", type=int, required=True, help="register size (power of two)")
     p.add_argument("--in", dest="infile", required=True,
-                   help="JSON state: [[re,im],...] or {\"amplitudes\": ...}")
+                   help="JSON state: [[re,im],...] or {\"amplitudes\": ...}; any finite "
+                        "vector (the map is linear, so the norm is not checked)")
     p.add_argument("--direction", choices=["forward", "inverse"], default="forward",
                    help="forward: product to multiplet amplitudes")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("analyze", help="ladder profile of a register state")
     p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True, help="JSON state")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="JSON state as for transform; its norm must be 1 within 1e-6")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gate", help="two-qubit gate constant as a JSON matrix")
@@ -340,6 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse turns "--opt=--" into [] without calling the option's type
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument {name}: expected one value, got '--'")
     try:
         args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -39,7 +39,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .angular_momentum import MAX_TWICE_J, MultipletLabel, SpinLabel, cg
+from .angular_momentum import MAX_TWICE_J, MultipletLabel, SpinLabel, couple_pair_matrix
 
 # 16 qubits, the next tree size, would need a 34 GB dense transform.
 MAX_DENSE_QUBITS = 8
@@ -201,7 +201,20 @@ def _postorder_levels(num_qubits: int) -> list[int]:
 _TRANSFORM_CACHE: dict[int, tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]] = {}
 
 
+@cache
+def _pair_block(tj_l: int, tj_r: int):
+    """Read-only couple_pair_matrix(j_l, j_r) and its column labels (2J, 2M),
+    ascending J, then ascending M."""
+    block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
+    block.flags.writeable = False
+    labels = tuple((tj, tm) for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2)
+                   for tm in range(-tj, tj + 1, 2))
+    return block, labels
+
+
 def _transform_with_states(num_qubits: int):
+    """U_n = (U_{n/2} x U_{n/2}) C_n, with the sparse recoupling C_n applied as
+    one pair block per pair of child (path, J) groups."""
     if num_qubits in _TRANSFORM_CACHE:
         return _TRANSFORM_CACHE[num_qubits]
     if num_qubits == 1:
@@ -212,34 +225,29 @@ def _transform_with_states(num_qubits: int):
         return result
 
     u_half, s_half = _transform_with_states(num_qubits // 2)
-    # Group child columns by (path, J); values map twice_M -> column index.
-    groups: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-    for idx, (path, tj, tm) in enumerate(s_half):
-        groups.setdefault((path, tj), {})[tm] = idx
+    # Child columns grouped by (path, J); M ascends within a group, as it does
+    # down the rows of a pair block.
+    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for idx, (path, tj, _) in enumerate(s_half):
+        groups.setdefault((path, tj), []).append(idx)
 
-    dim = 2 ** num_qubits
-    columns = []
+    # C_n as (left columns, right columns, pair block, first state) entries.
+    recoupling = []
     states = []
-    for (path_l, tj_l), m_l in groups.items():
-        for (path_r, tj_r), m_r in groups.items():
-            jl, jr = SpinLabel(tj_l), SpinLabel(tj_r)
-            for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2):
-                for tm in range(-tj, tj + 1, 2):
-                    col = np.zeros(dim)
-                    target = MultipletLabel(tj, tm)
-                    for tm_l, col_l in m_l.items():
-                        tm_r = tm - tm_l
-                        if tm_r not in m_r:
-                            continue
-                        coeff = cg(jl, tm_l, jr, tm_r, target)
-                        if coeff != 0.0:
-                            col += coeff * np.kron(u_half[:, col_l], u_half[:, m_r[tm_r]])
-                    columns.append(col)
-                    states.append((path_l + path_r + (tj,), tj, tm))
+    for (path_l, tj_l), cols_l in groups.items():
+        for (path_r, tj_r), cols_r in groups.items():
+            block, labels = _pair_block(tj_l, tj_r)
+            recoupling.append((cols_l, cols_r, block, len(states)))
+            states.extend((path_l + path_r + (tj,), tj, tm) for tj, tm in labels)
 
     order = sorted(range(len(states)),
                    key=lambda k: (-states[k][1], states[k][2], states[k][0]))
-    matrix = np.column_stack([columns[k] for k in order])
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    matrix = np.empty((2 ** num_qubits, len(order)))
+    for cols_l, cols_r, block, first in recoupling:
+        matrix[:, position[first:first + block.shape[1]]] = (
+            np.kron(u_half[:, cols_l], u_half[:, cols_r]) @ block)
     matrix.flags.writeable = False
     result = (matrix, [states[k] for k in order])
     _TRANSFORM_CACHE[num_qubits] = result
@@ -395,7 +403,9 @@ def _check_state(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
         raise ValueError(
             f"state has {state.size} amplitudes, tree expects {2 ** tree.num_qubits}"
         )
-    norm = np.linalg.norm(state)
+    # np.linalg.norm's sum of squares, through vdot, which does not warn on
+    # overflow: an overflowing norm is inf and fails below
+    norm = np.sqrt(np.vdot(state.real, state.real) + np.vdot(state.imag, state.imag))
     # written so that a NaN norm fails too
     if not abs(norm - 1.0) <= NORM_TOLERANCE:
         raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")

@@ -1,8 +1,13 @@
-"""Clebsch-Gordan coefficients against a ladder-operator oracle and the
-textbook pair-coupling fixture."""
+"""Clebsch-Gordan coefficients against a ladder-operator oracle, an exact
+rational Racah reference and the textbook pair-coupling fixture."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhier.angular_momentum import (
     InvalidLabelError,
@@ -175,7 +180,81 @@ def test_couple_pair_matrix_trivial_cases():
 
 
 def test_couple_pair_matrix_orthogonal():
-    for tj1 in range(0, 5):
-        for tj2 in range(0, 5):
+    for tj1 in range(0, 17):
+        for tj2 in range(0, 17 - tj1):
             a = couple_pair_matrix(SpinLabel(tj1), SpinLabel(tj2))
             assert np.max(np.abs(a.T @ a - np.eye(a.shape[0]))) < 1e-12
+            assert np.max(np.abs(a @ a.T - np.eye(a.shape[0]))) < 1e-12
+
+
+def test_couple_pair_matrix_entries_are_cg():
+    for tj1 in range(0, 7):
+        for tj2 in range(0, 7):
+            j1, j2 = SpinLabel(tj1), SpinLabel(tj2)
+            rows = [(m1, m2) for m1 in j1.twice_m_values() for m2 in j2.twice_m_values()]
+            cols = [MultipletLabel(s.twice_j, tm) for s in reversed(multiplet_content(j1, j2))
+                    for tm in s.twice_m_values()]
+            expected = np.array([[cg(j1, m1, j2, m2, t) for t in cols] for m1, m2 in rows])
+            assert couple_pair_matrix(j1, j2).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Exact reference: the Racah sum accumulated as Fraction terms, the squared
+# coefficient as one Fraction, converted to float and square-rooted.
+# ---------------------------------------------------------------------------
+
+def _cg_fraction(tj1, tm1, tj2, tm2, tj, tm):
+    if tm1 + tm2 != tm or not abs(tj1 - tj2) <= tj <= tj1 + tj2:
+        return 0.0
+    f = math.factorial
+    b1, b2, b3 = (tj1 + tj2 - tj) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    a1, a2 = (tj - tj2 + tm1) // 2, (tj - tj1 - tm2) // 2
+    s = sum((Fraction((-1) ** k, f(k) * f(b1 - k) * f(b2 - k) * f(b3 - k)
+                      * f(a1 + k) * f(a2 + k))
+             for k in range(max(0, -a1, -a2), min(b1, b2, b3) + 1)), Fraction(0))
+    if s == 0:
+        return 0.0
+    delta2 = Fraction(f(b1) * f((tj1 - tj2 + tj) // 2) * f((-tj1 + tj2 + tj) // 2),
+                      f((tj1 + tj2 + tj) // 2 + 1))
+    norm2 = (f((tj + tm) // 2) * f((tj - tm) // 2) * f((tj1 - tm1) // 2)
+             * f((tj1 + tm1) // 2) * f((tj2 - tm2) // 2) * f((tj2 + tm2) // 2))
+    value = math.sqrt(float((tj + 1) * delta2 * norm2 * s * s))
+    return value if s > 0 else -value
+
+
+def _assert_cg_bit_equal(tj1, tm1, tj2, tm2, tj, tm):
+    got = cg(SpinLabel(tj1), tm1, SpinLabel(tj2), tm2, MultipletLabel(tj, tm))
+    want = _cg_fraction(tj1, tm1, tj2, tm2, tj, tm)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_cg_equals_fraction_reference_exhaustively_to_spin_four():
+    count = 0
+    for tj1 in range(0, 9):
+        for tj2 in range(0, 9):
+            for tj in range(abs(tj1 - tj2), min(tj1 + tj2, 8) + 1, 2):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        if abs(tm1 + tm2) <= tj:
+                            _assert_cg_bit_equal(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
+                            count += 1
+    assert count == 4451
+
+
+@st.composite
+def cg_arguments(draw):
+    """Labels with 2j1, 2j2, 2J <= 16 that pass every selection rule."""
+    tj1 = draw(st.integers(0, 16))
+    tj2 = draw(st.integers(0, 16))
+    tj = draw(st.sampled_from(range(abs(tj1 - tj2), min(tj1 + tj2, 16) + 1, 2)))
+    tm1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    lo, hi = max(-tj2, -tj - tm1), min(tj2, tj - tm1)
+    tm2 = draw(st.sampled_from(range(lo, hi + 1, 2)))
+    return tj1, tm1, tj2, tm2, tj, tm1 + tm2
+
+
+@settings(max_examples=400, deadline=None)
+@given(cg_arguments())
+def test_cg_equals_fraction_reference_to_spin_eight(args):
+    _assert_cg_bit_equal(*args)

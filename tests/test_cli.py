@@ -224,10 +224,27 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["jsweep", "--bmax", "inf"], {}, "--bmax must be finite"),
     (["jsweep", "--bmin", "nan"], {}, "--bmin must be finite"),
     (["estimates", "--hbar-omega0", "nan"], {}, "hbar_omega0 must be finite"),
+    (["haar", "--in", "{signal}", "--levels", "2"], {"signal": "1\nnan\n3\ninf\n"},
+     "input values must be finite, got nan"),
+    (["haar", "--inverse", "--in", "{coeffs}", "--levels", "2"],
+     {"coeffs": "1\n2\n3\n-inf\n"}, "input values must be finite, got -inf"),
+    (["haar", "--in", "{signal}", "--levels", "2"], {"signal": "1e308\n" * 4},
+     "result overflows the float range"),
+    (["jsweep", "--bmin", "2", "--bmax", "0", "--points", "3"], {},
+     "--bmin 2.0 exceeds --bmax 0.0"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[" * 100_000},
+     "nested too deeply"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[[1e308,0],[1e308,0]]"},
+     "norm inf"),
+    (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[1" + "0" * 400 + ",0],[0,0]]"},
+     "[re, im]"),
+    (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[Infinity,0],[0,0]]"},
+     "amplitudes must be finite"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
-        "estimates-nan"])
+        "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
+        "deep-json", "analyze-overflow", "huge-int", "transform-inf"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():
@@ -240,6 +257,32 @@ def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, 
     assert message in err
 
 
+def test_jsweep_single_field(capsys):
+    code, out, _ = run_cli(capsys, "jsweep", "--bmin", "1", "--bmax", "1", "--points", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [field for field, _, _ in rows] == ["1.0"] * 3
+    assert len({j for _, _, j in rows}) == 1
+
+
+def test_transform_is_linear_and_analyze_needs_unit_norm(tmp_path, capsys):
+    """transform accepts any finite vector; analyze only unit-norm states."""
+    unit, double = tmp_path / "unit.json", tmp_path / "double.json"
+    unit.write_text("[[1,0],[0,0],[0,0],[0,0]]")
+    double.write_text("[[2,0],[0,0],[0,0],[0,0]]")
+    code, out, _ = run_cli(capsys, "transform", "--qubits", "2", "--in", str(unit))
+    assert code == 0
+    unit_doc = json.loads(out)
+    code, out, _ = run_cli(capsys, "transform", "--qubits", "2", "--in", str(double))
+    assert code == 0
+    double_doc = json.loads(out)
+    assert double_doc["amplitudes"] == [[2 * re, 2 * im] for re, im in unit_doc["amplitudes"]]
+    assert double_doc["amplitudes"] != unit_doc["amplitudes"]
+    code, out, err = run_cli(capsys, "analyze", "--qubits", "2", "--in", str(double))
+    assert code == 1 and out == ""
+    assert err.startswith("error: state norm 2.0")
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
@@ -247,6 +290,10 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["ladder", "--levels", "2", "--bogus"])
     assert info.value.code == 2
+    for argv in (["pulse", "--j0", "1", "--area=--"], ["jsweep", "--bmin=--"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
 
 
 def test_every_subcommand_has_help(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinhier import hierarchy as hi
-from spinhier.angular_momentum import MultipletLabel, SpinLabel
+from spinhier.angular_momentum import MultipletLabel, SpinLabel, cg
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -120,6 +120,47 @@ def test_transform_is_read_only_cached_matrix():
 def test_transform_single_qubit_is_identity():
     tree = hi.build_coupling_tree(1)
     assert np.array_equal(hi.hierarchic_transform(tree), np.eye(2))
+
+
+def _reference_transform(num_qubits):
+    """Column-by-column build: each (J, M) column of the coupled pair of child
+    groups summed from Kronecker products of child columns weighted by cg,
+    then all columns sorted into canonical order."""
+    if num_qubits == 1:
+        return np.eye(2), [((), 1, -1), ((), 1, 1)]
+    u_half, s_half = _reference_transform(num_qubits // 2)
+    groups = {}
+    for idx, (path, tj, tm) in enumerate(s_half):
+        groups.setdefault((path, tj), {})[tm] = idx
+    columns, states = [], []
+    for (path_l, tj_l), m_l in groups.items():
+        for (path_r, tj_r), m_r in groups.items():
+            for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2):
+                for tm in range(-tj, tj + 1, 2):
+                    col = np.zeros(2 ** num_qubits)
+                    for tm_l, col_l in m_l.items():
+                        if tm - tm_l in m_r:
+                            coeff = cg(SpinLabel(tj_l), tm_l, SpinLabel(tj_r), tm - tm_l,
+                                       MultipletLabel(tj, tm))
+                            if coeff != 0.0:
+                                col += coeff * np.kron(u_half[:, col_l],
+                                                       u_half[:, m_r[tm - tm_l]])
+                    columns.append(col)
+                    states.append((path_l + path_r + (tj,), tj, tm))
+    order = sorted(range(len(states)),
+                   key=lambda k: (-states[k][1], states[k][2], states[k][0]))
+    return (np.column_stack([columns[k] for k in order]), [states[k] for k in order])
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 8])
+def test_transform_bit_equal_to_column_reference(num_qubits):
+    tree = hi.build_coupling_tree(num_qubits)
+    matrix, raw = _reference_transform(num_qubits)
+    assert hi.hierarchic_transform(tree).tobytes() == matrix.tobytes()
+    assert hi.multiplet_basis_states(tree) == [
+        hi.MultipletBasisState(tuple(SpinLabel(t) for t in path), MultipletLabel(tj, tm))
+        for path, tj, tm in raw
+    ]
 
 
 @pytest.mark.parametrize("num_qubits,bound", [(2, 1e-12), (4, 1e-12), (8, 1e-10)])
