@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="total-spin content of a register")
-    p.add_argument("--qubits", type=int, required=True, help="register size")
+    p.add_argument("--qubits", type=int, required=True, help="register size, 1..16")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("ladder", help="dimensions of the V/W ladder")

@@ -145,27 +145,32 @@ class LadderProfile:
         return sum(self.detail_weights) + self.final_weight
 
 
-def _couple_contents(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for tja, ma in a.items():
-        for tjb, mb in b.items():
-            for tj in range(abs(tja - tjb), tja + tjb + 1, 2):
-                out[tj] = out.get(tj, 0) + ma * mb
-    return out
+@cache
+def _content(num_spins: int) -> tuple[tuple[int, int], ...]:
+    """(twice_j, multiplicity) of ``num_spins`` spin-1/2 particles, descending J.
+
+    Spin J = N/2 - k occurs C(N, k) - C(N, k - 1) times, k = 0 .. floor(N/2).
+    The binomials come from the running product C(N, k + 1) = C(N, k) (N - k) / (k + 1),
+    which is exact in Python integers and far cheaper than one ``math.comb`` per k.
+    """
+    content, below, binomial = [], 0, 1
+    for k in range(num_spins // 2 + 1):
+        content.append((num_spins - 2 * k, binomial - below))
+        below, binomial = binomial, binomial * (num_spins - k) // (k + 1)
+    return tuple(content)
 
 
 def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
     """Total-spin content of ``num_qubits`` spin-1/2 particles, descending J.
 
     Coupling order does not affect the content, so any register size from 1
-    to 4096 is accepted (the coupling tree itself requires a power of two).
+    to 16 is accepted (the coupling tree itself requires a power of two).
+    The ceiling is that of ``SpinLabel``: n qubits reach 2J = n, and 2j is
+    capped at ``MAX_TWICE_J`` = 16.
     """
-    if not 1 <= num_qubits <= MAX_TREE_QUBITS:
-        raise ValueError(f"register size must be in 1..{MAX_TREE_QUBITS}")
-    content = {1: 1}
-    for _ in range(num_qubits - 1):
-        content = _couple_contents(content, {1: 1})
-    return [(SpinLabel(tj), content[tj]) for tj in sorted(content, reverse=True)]
+    if not 1 <= num_qubits <= MAX_TWICE_J:
+        raise ValueError(f"register size must be in 1..{MAX_TWICE_J}, got {num_qubits}")
+    return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
 
 
 def build_coupling_tree(num_qubits: int) -> CouplingTree:
@@ -177,12 +182,10 @@ def build_coupling_tree(num_qubits: int) -> CouplingTree:
 
     def build(offset, size):
         if size == 1:
-            return TreeNode(offset, 1, None, None, ((1, 1),))
+            return TreeNode(offset, 1, None, None, _content(1))
         left = build(offset, size // 2)
         right = build(offset + size // 2, size // 2)
-        content = _couple_contents(dict(left.content), dict(right.content))
-        packed = tuple((tj, content[tj]) for tj in sorted(content, reverse=True))
-        return TreeNode(offset, size, left, right, packed)
+        return TreeNode(offset, size, left, right, _content(size))
 
     levels = num_qubits.bit_length() - 1
     return CouplingTree(num_qubits, levels, build(0, num_qubits))

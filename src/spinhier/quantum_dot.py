@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +59,8 @@ class DotParameters:
                    d=d, b_field=b_field)
 
 
-@dataclass(frozen=True)
-class ExchangeResult:
-    """Exchange evaluation at one field point."""
+class ExchangeResult(NamedTuple):
+    """Exchange evaluation at one field point (an immutable named tuple)."""
 
     b: float
     c: float
@@ -162,7 +163,7 @@ def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResul
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
     """Exchange coupling across a sequence of field values, in input order."""
     b, c, j = _exchange_mev(p, b_fields, c)
-    return [ExchangeResult(b=bi, c=c, j_mev=ji) for bi, ji in zip(b.tolist(), j.tolist())]
+    return list(map(ExchangeResult._make, zip(b.tolist(), repeat(c), j.tolist())))
 
 
 def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,

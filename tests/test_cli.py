@@ -240,11 +240,12 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "[re, im]"),
     (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[Infinity,0],[0,0]]"},
      "amplitudes must be finite"),
+    (["decompose", "--qubits", "17"], {}, "register size must be in 1..16, got 17"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
         "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
-        "deep-json", "analyze-overflow", "huge-int", "transform-inf"])
+        "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-17"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

@@ -1,8 +1,10 @@
 """Property tests of the array-native device layer: the Haar pyramid against a
 two-tap filter-bank reference, and the vectorised exchange sweep against its
-pointwise entry points."""
+pointwise entry points.  The Haar functions write into arrays of their own and
+never into (or through a view of) their input."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +104,25 @@ def test_pyramid_round_trip_and_parseval(case):
     assert abs(energy - total) <= 1e-12 * total
 
 
+@settings(max_examples=80, deadline=None)
+@given(dyadic_signals())
+def test_haar_functions_never_write_to_or_alias_their_input(case):
+    signal, depth = case
+    original = signal.copy()
+    signal.flags.writeable = False  # any write through the input, or a view of it, raises
+    n = len(signal)
+    decomposition = wv.pyramid_forward(signal, depth)
+    coefficients = [decomposition.approximation, *decomposition.details]
+    # bands cut from one array, as a caller reading stacked coefficients has them
+    stacked = wv.PyramidDecomposition(signal[: n >> depth], tuple(
+        signal[n >> level:n >> (level - 1)] for level in range(1, depth + 1)))
+    restored = wv.pyramid_inverse(decomposition)
+    outputs = [*wv.haar_step(signal), *coefficients, wv.pyramid_inverse(stacked), restored]
+    assert signal.tobytes() == original.tobytes()
+    assert not any(np.shares_memory(out, signal) for out in outputs)
+    assert not any(np.shares_memory(restored, band) for band in coefficients)
+
+
 @st.composite
 def field_sweeps(draw):
     """(parameters, fields in Tesla): a GaAs pair at a random half-distance."""
@@ -122,6 +143,20 @@ def test_sweep_matches_exchange_at_field_pointwise(case):
         assert result.b == spot.b
         assert result.c == spot.c
         assert abs(result.j_mev - spot.j_mev) <= 1e-15 * abs(spot.j_mev)
+
+
+def test_exchange_result_is_an_immutable_named_tuple():
+    sweep = qd.sweep_exchange(qd.DotParameters.gaas(d=0.7), [0.0, 0.5, 2.0])
+    assert all(isinstance(result, qd.ExchangeResult) for result in sweep)
+    assert all(type(value) is float for result in sweep for value in result)
+    result = sweep[1]
+    for name in ("b", "c", "j_mev"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, 0.0)
+    b, c, j_mev = result
+    assert (b, c, j_mev) == (result.b, result.c, result.j_mev) == result
+    assert result._asdict() == {"b": b, "c": c, "j_mev": j_mev}
+    assert result._replace(j_mev=0.0) == qd.ExchangeResult(b, c, 0.0)
 
 
 @settings(max_examples=60, deadline=None)

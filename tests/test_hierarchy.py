@@ -1,5 +1,7 @@
 """Coupling trees, the hierarchic transform, and the multiresolution ladder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,11 +84,54 @@ def test_tree_pairs_adjacent_blocks():
     assert offsets == [(0, 4), (4, 4)]
 
 
+def _content_by_coupling(num_qubits):
+    """Multiplicities from coupling one spin-1/2 at a time: 2j -> 2j +- 1."""
+    content = {1: 1}
+    for _ in range(num_qubits - 1):
+        coupled = {}
+        for tj, mult in content.items():
+            for tj_new in (tj - 1, tj + 1):
+                if tj_new >= 0:
+                    coupled[tj_new] = coupled.get(tj_new, 0) + mult
+        content = coupled
+    return content
+
+
 def test_register_content_any_size():
-    for n in (1, 2, 3, 5, 7, 12):
+    for n in range(1, 17):
         content = hi.register_content(n)
         assert sum((s.twice_j + 1) * m for s, m in content) == 2 ** n
+        assert [s.twice_j for s, _ in content] == sorted(_content_by_coupling(n), reverse=True)
+        assert {s.twice_j: m for s, m in content} == _content_by_coupling(n)
     assert {s.twice_j: m for s, m in hi.register_content(3)} == {3: 1, 1: 2}
+    for bad in (0, 17, 4096):
+        with pytest.raises(ValueError, match=f"1..16, got {bad}"):
+            hi.register_content(bad)
+
+
+def test_register_content_matches_diagonalization_oracle():
+    for n in range(1, 9):
+        assert {s.twice_j: m for s, m in hi.register_content(n)} == _content_by_diagonalization(n)
+
+
+def test_tree_node_contents_match_coupling_reference():
+    for size in (1, 2, 4, 8, 16):
+        tree = hi.build_coupling_tree(size)
+        for level in range(tree.levels + 1):
+            for node in tree.nodes_at_level(level):
+                want = _content_by_coupling(node.num_qubits)
+                assert node.content == tuple(sorted(want.items(), reverse=True))
+
+
+def test_tree_root_content_at_4096_qubits():
+    n = 4096
+    content = hi.build_coupling_tree(n).root.content
+    assert [tj for tj, _ in content] == list(range(n, -1, -2))
+    for k in [*range(0, n // 2, 37), n // 2]:  # a spread of k; math.comb is slow at this size
+        assert content[k][1] == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+    assert content[1] == (n - 2, n - 1)
+    assert content[-1] == (0, math.comb(n, n // 2) // (n // 2 + 1))  # Catalan number
+    assert sum((tj + 1) * mult for tj, mult in content) == 2 ** n
 
 
 # ------------------------------------------------------- hierarchic transform
