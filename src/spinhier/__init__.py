@@ -1,34 +1,41 @@
 """Hierarchic multiplet encoding of spin-1/2 registers.
 
-Subpackages:
+Modules, each imported on first use (``spinhier.hierarchy`` and
+``from spinhier import hierarchy`` both work), so that importing the package
+loads nothing else:
 
+- ``register``: spin labels, register content, coupling trees, ladder
+  dimensions; exact integer arithmetic, no numpy
 - ``angular_momentum``: Clebsch-Gordan coefficients and pair coupling matrices
-- ``hierarchy``: coupling trees, the hierarchic unitary, ladder projectors
+- ``hierarchy``: the hierarchic unitary, ladder profiles and projectors
 - ``gates``: two-qubit gate constants, multiplet-basis conversion, exchange XOR
 - ``dynamics``: Heisenberg/Zeeman Hamiltonians and exchange-pulse evolution
-- ``quantum_dot``: GaAs double-dot exchange coupling and physical estimates
+- ``dot_scales``: the double-dot parameter record and physical scale
+  estimates; no numpy
+- ``quantum_dot``: GaAs double-dot exchange coupling
 - ``wavelet``: classical Haar pyramid baseline
+- ``constants``: the pinned physical constants
 - ``cli``: batch command line emitting JSON/CSV
 """
 
-from . import (
-    angular_momentum,
-    constants,
-    dynamics,
-    gates,
-    hierarchy,
-    quantum_dot,
-    wavelet,
-)
+from importlib import import_module
 
 __all__ = [
     "angular_momentum",
     "constants",
+    "dot_scales",
     "dynamics",
     "gates",
     "hierarchy",
     "quantum_dot",
+    "register",
     "wavelet",
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

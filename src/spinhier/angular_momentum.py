@@ -1,96 +1,20 @@
 """Exact-convention Clebsch-Gordan coefficients and pairwise coupling matrices.
 
-Angular momenta are stored as twice their value (``twice_j``), so half-integer
-spins are exact integers and parity checks are trivial.  Coefficients follow
-the Condon-Shortley phase convention and are evaluated through the Racah
-closed-form sum in exact integer arithmetic; only the final square root is
-taken in floating point.  This is free of cancellation for every
-j <= MAX_TWICE_J / 2.
+Spin labels (angular momenta stored exactly as ``twice_j`` = 2j) are defined
+in ``register`` and re-exported here.  Coefficients follow the Condon-Shortley
+phase convention and are evaluated through the Racah closed-form sum in exact
+integer arithmetic; only the final square root is taken in floating point.
+This is free of cancellation for every j <= MAX_TWICE_J / 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, lcm, sqrt
 
 import numpy as np
 
-# Largest supported 2j.  Beyond spin 8 the factorial ratios grow without a use
-# case in this package; callers get a clear error instead of silent slowdowns.
-MAX_TWICE_J = 16
-
-
-class InvalidLabelError(ValueError):
-    """Angular-momentum label violates parity, range, or sign constraints."""
-
-
-def _check_twice_j(twice_j: int) -> None:
-    if not isinstance(twice_j, (int, np.integer)) or isinstance(twice_j, bool):
-        raise InvalidLabelError(f"twice_j must be an integer, got {twice_j!r}")
-    if twice_j < 0:
-        raise InvalidLabelError(f"twice_j must be non-negative, got {twice_j}")
-    if twice_j > MAX_TWICE_J:
-        raise InvalidLabelError(
-            f"twice_j = {twice_j} exceeds the supported maximum {MAX_TWICE_J}"
-        )
-
-
-def _check_twice_m(twice_j: int, twice_m: int) -> None:
-    if not isinstance(twice_m, (int, np.integer)) or isinstance(twice_m, bool):
-        raise InvalidLabelError(f"twice_m must be an integer, got {twice_m!r}")
-    if (twice_j - twice_m) % 2 != 0:
-        raise InvalidLabelError(
-            f"parity mismatch: twice_m = {twice_m} with twice_j = {twice_j}"
-        )
-    if abs(twice_m) > twice_j:
-        raise InvalidLabelError(f"|twice_m| = {abs(twice_m)} exceeds twice_j = {twice_j}")
-
-
-@dataclass(frozen=True, order=True)
-class SpinLabel:
-    """A single angular momentum j, stored exactly as 2j."""
-
-    twice_j: int
-
-    def __post_init__(self):
-        _check_twice_j(self.twice_j)
-
-    @property
-    def j(self) -> float:
-        return self.twice_j / 2
-
-    @property
-    def multiplicity(self) -> int:
-        """Number of magnetic sublevels, 2j + 1."""
-        return self.twice_j + 1
-
-    def twice_m_values(self) -> range:
-        """Magnetic labels 2m in ascending order, -2j ... +2j in steps of 2."""
-        return range(-self.twice_j, self.twice_j + 1, 2)
-
-
-@dataclass(frozen=True, order=True)
-class MultipletLabel:
-    """A (J, M) pair labelling one state of a total-spin multiplet."""
-
-    twice_j: int
-    twice_m: int
-
-    def __post_init__(self):
-        _check_twice_j(self.twice_j)
-        _check_twice_m(self.twice_j, self.twice_m)
-
-    @property
-    def j(self) -> float:
-        return self.twice_j / 2
-
-    @property
-    def m(self) -> float:
-        return self.twice_m / 2
-
-    @property
-    def dimension(self) -> int:
-        return self.twice_j + 1
+from .register import MAX_TWICE_J, InvalidLabelError, MultipletLabel, SpinLabel  # noqa: F401
+from .register import _check_twice_m
 
 
 def _cg_value(tj1, tm1, tj2, tm2, tj, tm) -> float:

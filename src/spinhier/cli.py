@@ -5,6 +5,10 @@ round-trip representation, so repeated runs on the same inputs are
 byte-identical.  JSON documents go to stdout; the CSV subcommands accept
 ``--out`` and default to stdout as well.
 
+numpy and the numerical modules are imported inside the handlers that use
+them, so ``decompose``, ``ladder``, ``estimates`` and ``constants`` start
+without numpy, on the ``register``, ``dot_scales`` and ``constants`` modules.
+
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.
 """
@@ -16,11 +20,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import constants as const
-from . import dynamics, gates, hierarchy, quantum_dot, wavelet
-from .angular_momentum import SpinLabel, couple_pair_matrix
+from . import dot_scales, register
 
 CANONICAL_ORDER = "descending terminal J, ascending M, lexicographic path"
 
@@ -31,6 +32,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _matrix_payload(matrix) -> list:
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
@@ -40,6 +43,8 @@ def _matrix_payload(matrix) -> list:
 
 
 def _vector_payload(vector) -> list:
+    import numpy as np
+
     vector = np.asarray(vector, dtype=complex).ravel()
     if not np.all(np.isfinite(vector.real)) or not np.all(np.isfinite(vector.imag)):
         raise ValueError("vector contains non-finite entries")
@@ -55,13 +60,17 @@ def serialize_matrix(matrix) -> str:
     return _dumps(_matrix_payload(matrix))
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    """Inverse of :func:`serialize_matrix`."""
+def parse_matrix(text: str):
+    """Inverse of :func:`serialize_matrix`, as a complex numpy array."""
+    import numpy as np
+
     rows = json.loads(text)
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _parse_amplitudes(text: str) -> np.ndarray:
+def _parse_amplitudes(text: str):
+    import numpy as np
+
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -122,7 +131,7 @@ def _csv_float(x: float) -> str:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_decompose(args) -> None:
-    content = hierarchy.register_content(args.qubits)
+    content = register.register_content(args.qubits)
     doc = {
         "content": [{"J": _spin_value(s.twice_j), "mult": m} for s, m in content],
         "check": sum((s.twice_j + 1) * m for s, m in content),
@@ -131,12 +140,15 @@ def _cmd_decompose(args) -> None:
 
 
 def _cmd_ladder(args) -> None:
-    dims = hierarchy.ladder_dimensions(args.levels)
+    dims = register.ladder_dimensions(args.levels)
     doc = {"V0": dims.v[0], "W": list(dims.w), "VM": dims.v[-1]}
     print(_dumps(doc))
 
 
 def _cmd_transform(args) -> None:
+    import numpy as np
+    from . import hierarchy
+
     tree = hierarchy.build_coupling_tree(args.qubits)
     matrix = hierarchy.hierarchic_transform(tree)
     amplitudes = _parse_amplitudes(_read_text(args.infile))
@@ -175,6 +187,8 @@ def _cmd_transform(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    from . import hierarchy
+
     tree = hierarchy.build_coupling_tree(args.qubits)
     state = _parse_amplitudes(_read_text(args.infile))
     profile = hierarchy.analyze_state(state, tree)
@@ -182,18 +196,17 @@ def _cmd_analyze(args) -> None:
     print(_dumps(doc))
 
 
-def _gate_by_name(name: str) -> np.ndarray:
+def _cmd_gate(args) -> None:
+    from . import gates
+    from .angular_momentum import SpinLabel, couple_pair_matrix
+
     table = {
         "cnot": gates.cnot_product,
         "swap": gates.swap_gate,
         "sqrt-swap": gates.sqrt_swap_gate,
         "xor": gates.xor_sequence,
     }
-    return table[name]()
-
-
-def _cmd_gate(args) -> None:
-    matrix = _gate_by_name(args.name)
+    matrix = table[args.name]()
     if gates.BasisTag(args.basis) is gates.BasisTag.MULTIPLET:
         pair_basis = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
         matrix = gates.to_multiplet(matrix, pair_basis)
@@ -201,6 +214,8 @@ def _cmd_gate(args) -> None:
 
 
 def _cmd_pulse(args) -> None:
+    from . import dynamics, gates
+
     area = _parse_area(args.area)
     profile = dynamics.pulse_for_area(area, args.j0)
     unitary = dynamics.evolve_pulse(profile, args.steps)
@@ -214,12 +229,17 @@ def _cmd_pulse(args) -> None:
 
 
 def _cmd_jsweep(args) -> None:
+    import numpy as np
+    from . import quantum_dot
+
     params = quantum_dot.DotParameters.gaas(d=args.d)
     for option in ("bmin", "bmax"):
         if not math.isfinite(getattr(args, option)):
             raise ValueError(f"--{option} must be finite, got {getattr(args, option)}")
     if args.bmin > args.bmax:
         raise ValueError(f"--bmin {args.bmin} exceeds --bmax {args.bmax}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     fields = np.linspace(args.bmin, args.bmax, args.points)
     results = quantum_dot.sweep_exchange(params, fields, c=args.c)
     lines = ["B_tesla,b,J_meV"]
@@ -229,6 +249,9 @@ def _cmd_jsweep(args) -> None:
 
 
 def _cmd_haar(args) -> None:
+    import numpy as np
+    from . import wavelet
+
     values = [float(line) for line in _read_text(args.infile).split() if line.strip()]
     bad = next((v for v in values if not math.isfinite(v)), None)
     if bad is not None:
@@ -264,11 +287,11 @@ def _cmd_haar(args) -> None:
 
 
 def _cmd_estimates(args) -> None:
-    params = quantum_dot.DotParameters(
+    params = dot_scales.DotParameters(
         g=args.g, hbar_omega0=args.hbar_omega0, mass_ratio=args.mass_ratio,
         epsilon=args.epsilon, d=args.d,
     )
-    est = quantum_dot.physical_estimates(params)
+    est = dot_scales.physical_estimates(params)
     doc = {
         "a_B_nm": est.a_b_nm,
         "spin_orbit_ratio": est.spin_orbit_ratio,
@@ -368,6 +391,10 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
     return 0
 

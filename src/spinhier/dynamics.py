@@ -10,6 +10,7 @@ constant pulses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class PulseProfile:
     duration_ns: float
 
     def __post_init__(self):
+        if not math.isfinite(self.duration_ns):
+            raise ValueError(f"pulse duration must be finite, got {self.duration_ns}")
         if self.duration_ns <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration_ns}")
         if len(self.samples) < 2:
@@ -88,11 +91,18 @@ def evolve_pulse(profile: PulseProfile, steps: int, sign: int = -1) -> np.ndarra
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     dt = profile.duration_ns / steps
-    midpoints = (np.arange(steps) + 0.5) * dt
+    midpoints = np.arange(steps, dtype=float)  # built in place: one steps-long temporary
+    midpoints += 0.5
+    midpoints *= dt
     j_mid = np.interp(midpoints, profile.times, profile.samples)
     # All step generators commute, so the ordered product collapses to a
-    # single exchange rotation by the accumulated midpoint-rule area.
-    total_angle = float(np.sum(j_mid) * dt / HBAR_MEV_NS)
+    # single exchange rotation by the accumulated midpoint-rule area.  The
+    # sum can overflow (J near the float maximum) and then meet a zero dt or
+    # an opposite infinity; a non-finite angle is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_angle = float(np.sum(j_mid) * dt / HBAR_MEV_NS)
+    if not math.isfinite(total_angle):
+        raise ValueError(f"accumulated pulse angle must be finite, got {total_angle}")
     return exchange_propagator(total_angle, sign)
 
 

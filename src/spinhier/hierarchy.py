@@ -1,4 +1,4 @@
-"""Coupling trees over spin-1/2 registers and the hierarchic change of basis.
+"""The hierarchic change of basis of spin-1/2 registers and its ladder.
 
 A register of 2^M qubits is coupled pairwise, blocks of two, then blocks of
 four, up to the whole register.  The resulting orthogonal transform maps the
@@ -7,7 +7,9 @@ spin of every tree node plus a terminal (J, M).  On top of the transform this
 module provides the multiresolution ladder: approximation spaces V_j spanned
 by blocks of 2^j qubits held at maximal spin, their detail complements W_j,
 per-level state profiles, level-conditioned block operators, and reduced
-density matrices over coarse labels.
+density matrices over coarse labels.  Coupling trees, register content and
+ladder dimensions are integer bookkeeping, defined in ``register`` and
+re-exported here.
 
 In the multiplet basis the ladder is label bookkeeping, kept in integer
 tables built once per register size on first use.  A basis state lies in
@@ -39,65 +41,17 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .angular_momentum import MAX_TWICE_J, MultipletLabel, SpinLabel, couple_pair_matrix
+from .angular_momentum import couple_pair_matrix
+from .register import (  # noqa: F401
+    MAX_LADDER_LEVELS, MAX_TREE_QUBITS, MAX_TWICE_J, CouplingTree, LadderDimensions,
+    MultipletLabel, SpinLabel, TreeNode, build_coupling_tree, ladder_dimensions,
+    register_content,
+)
 
 # 16 qubits, the next tree size, would need a 34 GB dense transform.
 MAX_DENSE_QUBITS = 8
-# ladder_dimensions is closed-form integer arithmetic, independent of the
-# dense cap.
-MAX_LADDER_LEVELS = 12
-MAX_TREE_QUBITS = 4096
 
 NORM_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One block of the coupling tree covering qubits [offset, offset + size)."""
-
-    offset: int
-    num_qubits: int
-    left: "TreeNode | None"
-    right: "TreeNode | None"
-    content: tuple[tuple[int, int], ...]  # (twice_j, multiplicity), descending J
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def level(self) -> int:
-        """Block scale: the node covers 2^level qubits."""
-        return self.num_qubits.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class CouplingTree:
-    """Balanced pairwise coupling plan over a power-of-two register."""
-
-    num_qubits: int
-    levels: int
-    root: TreeNode
-
-    def nodes_at_level(self, level: int) -> list[TreeNode]:
-        """Blocks of 2^level qubits, left to right."""
-        if not 0 <= level <= self.levels:
-            raise ValueError(f"level must be in 0..{self.levels}, got {level}")
-        out = []
-
-        def walk(node):
-            if node.level == level:
-                out.append(node)
-            elif not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
-
-    def root_content(self) -> list[tuple[SpinLabel, int]]:
-        """Total spins of the whole register with multiplicities, descending J."""
-        return [(SpinLabel(tj), mult) for tj, mult in self.root.content]
 
 
 @dataclass(frozen=True)
@@ -123,18 +77,6 @@ class LevelLabel:
 
 
 @dataclass(frozen=True)
-class LadderDimensions:
-    """Dimension bookkeeping of the ladder V_0 ⊃ V_1 ⊃ ... ⊃ V_M."""
-
-    v: tuple[int, ...]  # dim V_0 ... dim V_M
-    w: tuple[int, ...]  # dim W_1 ... dim W_M
-
-    @property
-    def levels(self) -> int:
-        return len(self.w)
-
-
-@dataclass(frozen=True)
 class LadderProfile:
     """Squared projection norms of a state onto W_1 ... W_M and V_M."""
 
@@ -143,52 +85,6 @@ class LadderProfile:
 
     def total(self) -> float:
         return sum(self.detail_weights) + self.final_weight
-
-
-@cache
-def _content(num_spins: int) -> tuple[tuple[int, int], ...]:
-    """(twice_j, multiplicity) of ``num_spins`` spin-1/2 particles, descending J.
-
-    Spin J = N/2 - k occurs C(N, k) - C(N, k - 1) times, k = 0 .. floor(N/2).
-    The binomials come from the running product C(N, k + 1) = C(N, k) (N - k) / (k + 1),
-    which is exact in Python integers and far cheaper than one ``math.comb`` per k.
-    """
-    content, below, binomial = [], 0, 1
-    for k in range(num_spins // 2 + 1):
-        content.append((num_spins - 2 * k, binomial - below))
-        below, binomial = binomial, binomial * (num_spins - k) // (k + 1)
-    return tuple(content)
-
-
-def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
-    """Total-spin content of ``num_qubits`` spin-1/2 particles, descending J.
-
-    Coupling order does not affect the content, so any register size from 1
-    to 16 is accepted (the coupling tree itself requires a power of two).
-    The ceiling is that of ``SpinLabel``: n qubits reach 2J = n, and 2j is
-    capped at ``MAX_TWICE_J`` = 16.
-    """
-    if not 1 <= num_qubits <= MAX_TWICE_J:
-        raise ValueError(f"register size must be in 1..{MAX_TWICE_J}, got {num_qubits}")
-    return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
-
-
-def build_coupling_tree(num_qubits: int) -> CouplingTree:
-    """Balanced adjacent-pair coupling tree over a power-of-two register."""
-    if num_qubits < 1 or num_qubits & (num_qubits - 1) != 0:
-        raise ValueError(f"register size must be a power of two, got {num_qubits}")
-    if num_qubits > MAX_TREE_QUBITS:
-        raise ValueError(f"register size {num_qubits} exceeds {MAX_TREE_QUBITS}")
-
-    def build(offset, size):
-        if size == 1:
-            return TreeNode(offset, 1, None, None, _content(1))
-        left = build(offset, size // 2)
-        right = build(offset + size // 2, size // 2)
-        return TreeNode(offset, size, left, right, _content(size))
-
-    levels = num_qubits.bit_length() - 1
-    return CouplingTree(num_qubits, levels, build(0, num_qubits))
 
 
 def _postorder_levels(num_qubits: int) -> list[int]:
@@ -357,19 +253,6 @@ def multiplet_basis_states(tree: CouplingTree) -> list[MultipletBasisState]:
     """Column labels of :func:`hierarchic_transform`, canonical order."""
     _check_dense(tree.num_qubits)
     return list(_basis_states(tree.num_qubits))
-
-
-def ladder_dimensions(levels: int) -> LadderDimensions:
-    """Exact dimensions of V_0 ... V_M and W_1 ... W_M for 2^levels qubits.
-
-    dim V_j = (2^j + 1)^(2^(M-j)): blocks of 2^j qubits restricted to their
-    maximal spin 2^(j-1).  Values are exact integers for levels up to 12.
-    """
-    if not 0 <= levels <= MAX_LADDER_LEVELS:
-        raise ValueError(f"levels must be in 0..{MAX_LADDER_LEVELS}, got {levels}")
-    v = tuple((2 ** j + 1) ** (2 ** (levels - j)) for j in range(levels + 1))
-    w = tuple(v[j - 1] - v[j] for j in range(1, levels + 1))
-    return LadderDimensions(v, w)
 
 
 def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:

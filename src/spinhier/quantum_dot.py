@@ -5,58 +5,24 @@ along z.  The exchange splitting J between singlet and triplet is evaluated
 from its closed form in the dimensionless field b, the dimensionless
 half-distance d = a / a_B, and the Coulomb-strength parameter c.  All
 dimensionful outputs are meV and nm, derived from the pinned constants table.
+The parameter record and the scale estimates are defined in ``dot_scales``
+and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T
+from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T  # noqa: F401
+from .dot_scales import (  # noqa: F401
+    DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
+)
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
-
-
-@dataclass(frozen=True)
-class DotParameters:
-    """Material and geometry record for a coupled-dot pair.
-
-    g: electron g-factor; hbar_omega0: confinement energy (meV); mass_ratio:
-    effective mass over the electron mass; epsilon: dielectric constant;
-    d: half-distance between the wells in units of the confinement Bohr
-    radius; b_field: magnetic field along z (Tesla).
-    """
-
-    g: float
-    hbar_omega0: float
-    mass_ratio: float
-    epsilon: float
-    d: float
-    b_field: float = 0.0
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        if self.hbar_omega0 <= 0:
-            raise ValueError("confinement energy must be positive")
-        if self.mass_ratio <= 0:
-            raise ValueError("mass ratio must be positive")
-        if self.epsilon < 1:
-            raise ValueError("dielectric constant must be >= 1")
-        if self.d <= 0:
-            raise ValueError("half-distance must be positive")
-
-    @classmethod
-    def gaas(cls, d: float = 0.7, b_field: float = 0.0) -> "DotParameters":
-        """Standard GaAs dot: g = -0.44, 3 meV confinement, m = 0.067 m_e, eps = 13.1."""
-        return cls(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=13.1,
-                   d=d, b_field=b_field)
 
 
 class ExchangeResult(NamedTuple):
@@ -65,20 +31,6 @@ class ExchangeResult(NamedTuple):
     b: float
     c: float
     j_mev: float
-
-
-@dataclass(frozen=True)
-class PhysicalEstimates:
-    """Order-of-magnitude scales of the dot pair."""
-
-    a_b_nm: float
-    spin_orbit_ratio: float
-    dipole_mev: float
-
-
-def bohr_radius(p: DotParameters) -> float:
-    """Confinement length sqrt(hbar / (m omega0)) in nm (about 20 nm for GaAs)."""
-    return HBARC_MEV_NM / math.sqrt(p.mass_ratio * MEC2_MEV * p.hbar_omega0)
 
 
 def _check_all(ok: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -178,18 +130,3 @@ def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,
     well = 0.5 * stiffness * ((x_nm ** 2 - a ** 2) ** 2 / (4.0 * a ** 2) + y_nm ** 2)
     bias = 1000.0 * x_nm * e_bias_v_per_nm  # e * x * E, volts -> meV
     return well + bias
-
-
-def physical_estimates(p: DotParameters) -> PhysicalEstimates:
-    """Confinement length, spin-orbit ratio, and dipole coupling scale.
-
-    spin_orbit_ratio is H_SO / (hbar omega0) = hbar omega0 / (2 m c^2) for
-    L.S of order hbar^2; dipole_mev is (mu_0 / 4 pi)(g mu_B)^2 / a_B^3,
-    rewritten as g^2 e^2 (hbar c)^2 / (4 (m_e c^2)^2 a_B^3) so only pinned
-    constants enter.
-    """
-    a_b = bohr_radius(p)
-    spin_orbit = p.hbar_omega0 / (2.0 * p.mass_ratio * MEC2_MEV)
-    dipole = (p.g ** 2 * E2_MEV_NM * HBARC_MEV_NM ** 2
-              / (4.0 * MEC2_MEV ** 2 * a_b ** 3))
-    return PhysicalEstimates(a_b_nm=a_b, spin_orbit_ratio=spin_orbit, dipole_mev=dipole)

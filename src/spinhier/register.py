@@ -1,0 +1,223 @@
+"""Integer bookkeeping of spin-1/2 registers: spin labels, total-spin content,
+coupling trees and the dimensions of the V/W ladder.
+
+Exact integer arithmetic in plain Python, so it loads without numpy (the
+``decompose`` and ``ladder`` subcommands need nothing else); ``angular_momentum``
+and ``hierarchy`` re-export every public name.  Angular momenta are stored as
+twice their value (``twice_j``), so half-integer spins are exact integers.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from functools import cache
+
+# Largest supported 2j.  Beyond spin 8 the factorial ratios grow without a use
+# case in this package; callers get a clear error instead of silent slowdowns.
+MAX_TWICE_J = 16
+# ladder_dimensions is closed-form integer arithmetic, independent of the
+# dense cap.
+MAX_LADDER_LEVELS = 12
+MAX_TREE_QUBITS = 4096
+
+
+class InvalidLabelError(ValueError):
+    """Angular-momentum label violates parity, range, or sign constraints."""
+
+
+def _as_integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer of any type (numpy's too) but bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidLabelError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_twice_j(twice_j) -> None:
+    twice_j = _as_integer("twice_j", twice_j)
+    if twice_j < 0:
+        raise InvalidLabelError(f"twice_j must be non-negative, got {twice_j}")
+    if twice_j > MAX_TWICE_J:
+        raise InvalidLabelError(
+            f"twice_j = {twice_j} exceeds the supported maximum {MAX_TWICE_J}"
+        )
+
+
+def _check_twice_m(twice_j: int, twice_m) -> None:
+    twice_m = _as_integer("twice_m", twice_m)
+    if (twice_j - twice_m) % 2 != 0:
+        raise InvalidLabelError(
+            f"parity mismatch: twice_m = {twice_m} with twice_j = {twice_j}"
+        )
+    if abs(twice_m) > twice_j:
+        raise InvalidLabelError(f"|twice_m| = {abs(twice_m)} exceeds twice_j = {twice_j}")
+
+
+@dataclass(frozen=True, order=True)
+class SpinLabel:
+    """A single angular momentum j, stored exactly as 2j."""
+
+    twice_j: int
+
+    def __post_init__(self):
+        _check_twice_j(self.twice_j)
+
+    @property
+    def j(self) -> float:
+        return self.twice_j / 2
+
+    @property
+    def multiplicity(self) -> int:
+        """Number of magnetic sublevels, 2j + 1."""
+        return self.twice_j + 1
+
+    def twice_m_values(self) -> range:
+        """Magnetic labels 2m in ascending order, -2j ... +2j in steps of 2."""
+        return range(-self.twice_j, self.twice_j + 1, 2)
+
+
+@dataclass(frozen=True, order=True)
+class MultipletLabel:
+    """A (J, M) pair labelling one state of a total-spin multiplet."""
+
+    twice_j: int
+    twice_m: int
+
+    def __post_init__(self):
+        _check_twice_j(self.twice_j)
+        _check_twice_m(self.twice_j, self.twice_m)
+
+    @property
+    def j(self) -> float:
+        return self.twice_j / 2
+
+    @property
+    def m(self) -> float:
+        return self.twice_m / 2
+
+    @property
+    def dimension(self) -> int:
+        return self.twice_j + 1
+
+
+@cache
+def _content(num_spins: int) -> tuple[tuple[int, int], ...]:
+    """(twice_j, multiplicity) of ``num_spins`` spin-1/2 particles, descending J.
+
+    Spin J = N/2 - k occurs C(N, k) - C(N, k - 1) times, k = 0 .. floor(N/2).
+    The binomials come from the running product C(N, k + 1) = C(N, k) (N - k) / (k + 1),
+    which is exact in Python integers and far cheaper than one ``math.comb`` per k.
+    """
+    content, below, binomial = [], 0, 1
+    for k in range(num_spins // 2 + 1):
+        content.append((num_spins - 2 * k, binomial - below))
+        below, binomial = binomial, binomial * (num_spins - k) // (k + 1)
+    return tuple(content)
+
+
+def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
+    """Total-spin content of ``num_qubits`` spin-1/2 particles, descending J.
+
+    Coupling order does not affect the content, so any register size from 1
+    to 16 is accepted (the coupling tree itself requires a power of two).
+    The ceiling is that of ``SpinLabel``: n qubits reach 2J = n, and 2j is
+    capped at ``MAX_TWICE_J`` = 16.
+    """
+    if not 1 <= num_qubits <= MAX_TWICE_J:
+        raise ValueError(f"register size must be in 1..{MAX_TWICE_J}, got {num_qubits}")
+    return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    """One block of the coupling tree covering qubits [offset, offset + size)."""
+
+    offset: int
+    num_qubits: int
+    left: "TreeNode | None"
+    right: "TreeNode | None"
+    content: tuple[tuple[int, int], ...]  # (twice_j, multiplicity), descending J
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    @property
+    def level(self) -> int:
+        """Block scale: the node covers 2^level qubits."""
+        return self.num_qubits.bit_length() - 1
+
+
+@dataclass(frozen=True)
+class CouplingTree:
+    """Balanced pairwise coupling plan over a power-of-two register."""
+
+    num_qubits: int
+    levels: int
+    root: TreeNode
+
+    def nodes_at_level(self, level: int) -> list[TreeNode]:
+        """Blocks of 2^level qubits, left to right."""
+        if not 0 <= level <= self.levels:
+            raise ValueError(f"level must be in 0..{self.levels}, got {level}")
+        out = []
+
+        def walk(node):
+            if node.level == level:
+                out.append(node)
+            elif not node.is_leaf:
+                walk(node.left)
+                walk(node.right)
+
+        walk(self.root)
+        return out
+
+    def root_content(self) -> list[tuple[SpinLabel, int]]:
+        """Total spins of the whole register with multiplicities, descending J."""
+        return [(SpinLabel(tj), mult) for tj, mult in self.root.content]
+
+
+def build_coupling_tree(num_qubits: int) -> CouplingTree:
+    """Balanced adjacent-pair coupling tree over a power-of-two register."""
+    if num_qubits < 1 or num_qubits & (num_qubits - 1) != 0:
+        raise ValueError(f"register size must be a power of two, got {num_qubits}")
+    if num_qubits > MAX_TREE_QUBITS:
+        raise ValueError(f"register size {num_qubits} exceeds {MAX_TREE_QUBITS}")
+
+    def build(offset, size):
+        if size == 1:
+            return TreeNode(offset, 1, None, None, _content(1))
+        left = build(offset, size // 2)
+        right = build(offset + size // 2, size // 2)
+        return TreeNode(offset, size, left, right, _content(size))
+
+    levels = num_qubits.bit_length() - 1
+    return CouplingTree(num_qubits, levels, build(0, num_qubits))
+
+
+@dataclass(frozen=True)
+class LadderDimensions:
+    """Dimension bookkeeping of the ladder V_0 ⊃ V_1 ⊃ ... ⊃ V_M."""
+
+    v: tuple[int, ...]  # dim V_0 ... dim V_M
+    w: tuple[int, ...]  # dim W_1 ... dim W_M
+
+    @property
+    def levels(self) -> int:
+        return len(self.w)
+
+
+def ladder_dimensions(levels: int) -> LadderDimensions:
+    """Exact dimensions of V_0 ... V_M and W_1 ... W_M for 2^levels qubits.
+
+    dim V_j = (2^j + 1)^(2^(M-j)): blocks of 2^j qubits restricted to their
+    maximal spin 2^(j-1).  Values are exact integers for levels up to 12.
+    """
+    if not 0 <= levels <= MAX_LADDER_LEVELS:
+        raise ValueError(f"levels must be in 0..{MAX_LADDER_LEVELS}, got {levels}")
+    v = tuple((2 ** j + 1) ** (2 ** (levels - j)) for j in range(levels + 1))
+    w = tuple(v[j - 1] - v[j] for j in range(1, levels + 1))
+    return LadderDimensions(v, w)

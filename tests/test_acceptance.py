@@ -189,6 +189,20 @@ def test_c12_state_analysis():
     _report(12, "all-up weight 1 in V_2; singlet x singlet weight 1 in W_1")
 
 
+# Pinned stdout of the integer and scalar subcommands of c13: these bytes are
+# the output contract, not only their repeatability.
+C13_GOLDEN_STDOUT = {
+    "decompose": b'{"content":[{"J":2,"mult":1},{"J":1,"mult":3},{"J":0,"mult":2}],'
+                 b'"check":16}\n',
+    "ladder": b'{"V0":16,"W":[7,4],"VM":5}\n',
+    "estimates": b'{"a_B_nm":19.470539769508367,"spin_orbit_ratio":4.381224990507346e-08,'
+                 b'"dipole_meV":1.408007666991441e-09}\n',
+    "constants": b'{"hbar_mev_ns":0.6582119,"mu_b_mev_per_tesla":0.0578838,'
+                 b'"hbar_c_mev_nm":197326.9804,"electron_rest_energy_mev":511000000.0,'
+                 b'"coulomb_e2_mev_nm":1440.0}\n',
+}
+
+
 def test_c13_cli_determinism(tmp_path):
     state = tmp_path / "state.json"
     state.write_text('{"amplitudes": [[0.0, 0.0], [-0.7071067811865476, 0.0], '
@@ -215,4 +229,7 @@ def test_c13_cli_determinism(tmp_path):
         ]
         assert runs[0].stdout == runs[1].stdout, f"non-deterministic output: {argv}"
         assert runs[0].stdout  # every subcommand actually emits something
-    _report(13, f"{len(invocations)} subcommands byte-identical across repeated runs")
+        if argv[0] in C13_GOLDEN_STDOUT:
+            assert runs[0].stdout == C13_GOLDEN_STDOUT[argv[0]], f"stdout changed: {argv}"
+    _report(13, f"{len(invocations)} subcommands byte-identical across repeated runs, "
+                f"{len(C13_GOLDEN_STDOUT)} equal to their pinned stdout")

@@ -126,6 +126,16 @@ def test_cg_invalid_labels():
         SpinLabel(18)  # beyond the supported j range
 
 
+def test_labels_accept_every_integer_type_but_bool():
+    assert SpinLabel(np.int64(2)) == SpinLabel(2)
+    assert MultipletLabel(np.int64(2), np.int32(-2)) == MultipletLabel(2, -2)
+    for bad in (True, np.True_, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(InvalidLabelError, match="twice_j must be an integer"):
+            SpinLabel(bad)
+        with pytest.raises(InvalidLabelError, match="twice_m must be an integer"):
+            MultipletLabel(2, bad)
+
+
 def test_orthogonality_and_completeness():
     labels = [SpinLabel(t) for t in range(0, 5)]
     for j1 in labels:

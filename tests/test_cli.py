@@ -1,11 +1,12 @@
 """Command-line surface: fixtures, round-trips, and error paths."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinhier import cli
+from spinhier import cli, dynamics
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
 from spinhier.gates import gate_fidelity, swap_gate, to_multiplet, cnot_product
 
@@ -33,6 +34,19 @@ def test_ladder_fixture(capsys):
     code, out, _ = run_cli(capsys, "ladder", "--levels", "2")
     assert code == 0
     assert out == '{"V0":16,"W":[7,4],"VM":5}\n'
+
+
+def test_integer_subcommands_at_their_ceilings_print_pinned_stdout(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--qubits", "16")
+    assert code == 0
+    assert out == ('{"content":[{"J":8,"mult":1},{"J":7,"mult":15},{"J":6,"mult":104},'
+                   '{"J":5,"mult":440},{"J":4,"mult":1260},{"J":3,"mult":2548},'
+                   '{"J":2,"mult":3640},{"J":1,"mult":3432},{"J":0,"mult":1430}],'
+                   '"check":65536}\n')
+    code, out, _ = run_cli(capsys, "ladder", "--levels", "12")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "ladder_levels_12.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_gate_multiplet_matches_similarity_transform(capsys):
@@ -241,11 +255,17 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[Infinity,0],[0,0]]"},
      "amplitudes must be finite"),
     (["decompose", "--qubits", "17"], {}, "register size must be in 1..16, got 17"),
+    (["pulse", "--j0", "1e-320", "--area", "pi"], {}, "pulse duration must be finite"),
+    (["pulse", "--j0", "1e308", "--area", "pi"], {}, "accumulated pulse angle must be finite"),
+    (["jsweep", "--points", "0"], {}, "--points must be >= 1, got 0"),
+    (["jsweep", "--points", "-1"], {}, "--points must be >= 1, got -1"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
         "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
-        "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-17"])
+        "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-17",
+        "pulse-duration-inf", "pulse-angle-overflow", "jsweep-points-0",
+        "jsweep-points-negative"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():
@@ -256,6 +276,24 @@ def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, 
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                 "and data type int64"),
+     "error: out of memory: Unable to allocate 745. GiB"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_exits_one_with_one_error_line(capsys, monkeypatch, error, message):
+    def exhausted(profile, steps, sign=-1):
+        raise error
+
+    monkeypatch.setattr(dynamics, "evolve_pulse", exhausted)
+    code, out, err = run_cli(capsys, "pulse", "--j0", "0.5", "--area", "pi",
+                             "--steps", "100000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_jsweep_single_field(capsys):

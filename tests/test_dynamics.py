@@ -61,6 +61,9 @@ def test_pulse_profile_validation():
         dynamics.PulseProfile((1.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         dynamics.PulseProfile((1.0, np.inf), 1.0)
+    for duration in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="pulse duration must be finite"):
+            dynamics.PulseProfile((1.0, 1.0), duration)
 
 
 def test_pulse_area_trapezoid():
@@ -130,6 +133,15 @@ def test_integrator_converges_monotonically():
         assert gates.unitarity_defect(u) < 1e-10
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-8
+
+
+def test_evolve_pulse_rejects_an_overflowing_angle_without_warning():
+    # the midpoint sum overflows to inf, which a step dt that underflows to 0
+    # turns into nan; the suite makes any numpy warning on the way an error
+    for duration in (1.0, 5e-324):
+        profile = dynamics.PulseProfile((1e308, 1e308), duration)
+        with pytest.raises(ValueError, match="accumulated pulse angle must be finite"):
+            dynamics.evolve_pulse(profile, 4)
 
 
 def test_evolve_pulse_rejects_bad_steps():

@@ -1,0 +1,63 @@
+"""Package layout: lazy submodules, the numpy-free modules behind the integer
+and scalar subcommands, and the names the numerical modules re-export."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import spinhier
+from spinhier import angular_momentum, dot_scales, hierarchy, quantum_dot, register
+
+# Run one subcommand through cli.main in a fresh interpreter, then report on
+# stderr whether numpy was imported on the way.
+_PROBE = """\
+import sys
+from spinhier.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--qubits", "16"],
+    ["ladder", "--levels", "12"],
+    ["estimates", "--d", "0.6"],
+    ["constants"],
+])
+def test_integer_and_scalar_subcommands_do_not_import_numpy(argv):
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout
+    assert run.stderr == "False\n"
+
+
+def test_numerical_subcommand_still_imports_numpy():
+    run = subprocess.run([sys.executable, "-c", _PROBE, "gate", "--name", "swap"],
+                         capture_output=True, text=True, check=True)
+    assert run.stderr == "True\n"
+
+
+def test_package_resolves_every_listed_module():
+    for name in spinhier.__all__:
+        module = getattr(spinhier, name)
+        assert module is importlib.import_module(f"spinhier.{name}")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_module'"):
+        spinhier.no_such_module
+
+
+@pytest.mark.parametrize("module,source,names", [
+    (angular_momentum, register,
+     ["MAX_TWICE_J", "InvalidLabelError", "MultipletLabel", "SpinLabel"]),
+    (hierarchy, register,
+     ["MAX_LADDER_LEVELS", "MAX_TREE_QUBITS", "MAX_TWICE_J", "CouplingTree",
+      "LadderDimensions", "MultipletLabel", "SpinLabel", "TreeNode",
+      "build_coupling_tree", "ladder_dimensions", "register_content"]),
+    (quantum_dot, dot_scales,
+     ["DotParameters", "PhysicalEstimates", "bohr_radius", "physical_estimates"]),
+], ids=["angular_momentum", "hierarchy", "quantum_dot"])
+def test_numerical_modules_re_export_the_numpy_free_names(module, source, names):
+    for name in names:
+        assert getattr(module, name) is getattr(source, name), name
