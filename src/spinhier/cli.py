@@ -90,13 +90,13 @@ def _spin_value(twice_j: int):
 
 
 def _parse_area(text: str) -> float:
-    """Pulse areas like 'pi', 'pi/2', '2pi', or a plain float."""
+    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
     if "pi" in cleaned:
         head, _, tail = cleaned.partition("pi")
         value = math.pi
         if head:
-            value *= float(head)
+            value *= float(head + "1" if head in ("+", "-") else head)
         if tail:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse area {text!r}")
@@ -207,7 +207,7 @@ def _cmd_gate(args) -> None:
         "xor": gates.xor_sequence,
     }
     matrix = table[args.name]()
-    if gates.BasisTag(args.basis) is gates.BasisTag.MULTIPLET:
+    if args.basis == "multiplet":
         pair_basis = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
         matrix = gates.to_multiplet(matrix, pair_basis)
     print(serialize_matrix(matrix))

@@ -11,12 +11,12 @@ constant pulses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
-from .gates import S1Z, S2Z, SINGLET_PROJECTOR, exchange_propagator
+from .gates import S1Z, S2Z, exchange_propagator
 
 # One-qubit spin operators in the (down, up) basis.
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # raising: down -> up
@@ -24,8 +24,6 @@ _SM = _SP.T
 _SX = 0.5 * (_SP + _SM)
 _SY = (_SP - _SM) / 2j
 _SZ = np.diag([-0.5, 0.5])
-
-_EYE2 = np.eye(2)
 
 SPIN_DOT = (
     np.kron(_SX, _SX) + np.kron(_SY, _SY) + np.kron(_SZ, _SZ)

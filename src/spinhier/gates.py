@@ -9,18 +9,9 @@ entrywise.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 UNITARITY_TOL = 1e-10
-
-
-class BasisTag(Enum):
-    """Which 4-dimensional basis a two-qubit matrix is expressed in."""
-
-    PRODUCT = "product"
-    MULTIPLET = "multiplet"
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -11,11 +11,11 @@ density matrices over coarse labels.  Coupling trees, register content and
 ladder dimensions are integer bookkeeping, defined in ``register`` and
 re-exported here.
 
-In the multiplet basis the ladder is label bookkeeping, kept in integer
-tables built once per register size on first use.  A basis state lies in
-W_j when j is the lowest level whose node spin is not maximal, and in V_M
-when every node is maximal, so a state profile is a histogram of squared
-hierarchic amplitudes over those bins.  A reduced density matrix scatters
+In the multiplet basis the ladder is label bookkeeping on the integer label
+table of the recoupling plan, built once per register size on first use.  A
+basis state lies in W_j when j is the lowest level whose node spin is not
+maximal, and in V_M when every node is maximal, so a state profile is a
+histogram of squared hierarchic amplitudes over those bins.  A reduced density matrix scatters
 the amplitudes into a (fine part x coarse label) array A and returns
 A^T A^*.  The dense projectors V_j and W_j are kept as references for small
 registers; nothing else calls them.
@@ -95,62 +95,79 @@ def _postorder_levels(num_qubits: int) -> list[int]:
     return half + half + [num_qubits.bit_length() - 1]
 
 
-# Cached per register size; all balanced trees of equal size are identical.
-# Entries are (read-only orthogonal matrix, [(path twice_j tuple, twice_J, twice_M)]).
-_TRANSFORM_CACHE: dict[int, tuple[np.ndarray, list[tuple[tuple[int, ...], int, int]]]] = {}
+@cache
+def _pair_block(tj_l: int, tj_r: int) -> np.ndarray:
+    """Read-only couple_pair_matrix(j_l, j_r); its columns ascend in J, then M, as in _plan."""
+    block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
+    block.flags.writeable = False
+    return block
+
+
+def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only id of each row's value, numbered in order of first appearance,
+    and the index of the first row carrying each id (ascending)."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.argsort(order)[inverse.reshape(-1)]
+    ids.flags.writeable = False
+    return ids, first[order]
 
 
 @cache
-def _pair_block(tj_l: int, tj_r: int):
-    """Read-only couple_pair_matrix(j_l, j_r) and its column labels (2J, 2M),
-    ascending J, then ascending M."""
-    block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
-    block.flags.writeable = False
-    labels = tuple((tj, tm) for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2)
-                   for tm in range(-tj, tj + 1, 2))
-    return block, labels
+def _plan(num_qubits: int):
+    """Float-free recoupling plan ``(table, entries)`` of U_n = (U_{n/2} x U_{n/2}) C_n.
+
+    ``table`` (read-only, integer) has one row per canonical column: the path
+    spins 2j in post-order, then 2J and 2M.  ``entries`` holds C_n as one
+    ``(2j_l, 2j_r, gather, scatter)`` per pair of child (path, J) groups: the
+    columns of U_{n/2} x U_{n/2} in pair-block row order, and the canonical
+    positions of the block's columns.
+    """
+    if num_qubits == 1:
+        table = np.array([[1, -1], [1, 1]])
+        table.flags.writeable = False
+        return table, ()
+    half, _ = _plan(num_qubits // 2)
+    # Child columns by (path, J) group; M ascends within one, as down a pair block's rows.
+    group_id, first = _first_seen(half[:, :-1])
+    groups = [(half[k, :-2], int(half[k, -2]), np.flatnonzero(group_id == g))
+              for g, k in enumerate(first)]
+    blocks, rows = [], []
+    for path_l, tj_l, cols_l in groups:
+        for path_r, tj_r, cols_r in groups:
+            jm = np.array([(tj, tj, tm)
+                           for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2)
+                           for tm in range(-tj, tj + 1, 2)])
+            path = np.concatenate((path_l, path_r))
+            rows.append(np.hstack((np.broadcast_to(path, (len(jm), len(path))), jm)))
+            blocks.append((tj_l, tj_r, (cols_l[:, None] * len(half) + cols_r).ravel()))
+    stacked = np.concatenate(rows)
+    # Canonical order: descending J, ascending M, then lexicographic path.
+    order = np.lexsort((*stacked[:, -3::-1].T, stacked[:, -1], -stacked[:, -2]))
+    table = stacked[order]
+    table.flags.writeable = False
+    position = np.argsort(order)  # canonical position of each stacked row
+    scatters = np.split(position, np.cumsum([len(block) for block in rows])[:-1])
+    return table, tuple((*block, scatter) for block, scatter in zip(blocks, scatters))
 
 
-def _transform_with_states(num_qubits: int):
-    """U_n = (U_{n/2} x U_{n/2}) C_n, with the sparse recoupling C_n applied as
-    one pair block per pair of child (path, J) groups."""
-    if num_qubits in _TRANSFORM_CACHE:
-        return _TRANSFORM_CACHE[num_qubits]
+@cache
+def _transform(num_qubits: int) -> np.ndarray:
+    """Read-only, C-ordered U_n: each plan entry's gathered columns of
+    U_{n/2} x U_{n/2} times its pair block, written to its scatter.  Only those
+    columns are formed: freeing a whole 2^n x 2^n product would raise glibc's
+    mmap threshold, and so change how later large arrays are allocated."""
     if num_qubits == 1:
         matrix = np.eye(2)
-        matrix.flags.writeable = False
-        result = (matrix, [((), 1, -1), ((), 1, 1)])
-        _TRANSFORM_CACHE[1] = result
-        return result
-
-    u_half, s_half = _transform_with_states(num_qubits // 2)
-    # Child columns grouped by (path, J); M ascends within a group, as it does
-    # down the rows of a pair block.
-    groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for idx, (path, tj, _) in enumerate(s_half):
-        groups.setdefault((path, tj), []).append(idx)
-
-    # C_n as (left columns, right columns, pair block, first state) entries.
-    recoupling = []
-    states = []
-    for (path_l, tj_l), cols_l in groups.items():
-        for (path_r, tj_r), cols_r in groups.items():
-            block, labels = _pair_block(tj_l, tj_r)
-            recoupling.append((cols_l, cols_r, block, len(states)))
-            states.extend((path_l + path_r + (tj,), tj, tm) for tj, tm in labels)
-
-    order = sorted(range(len(states)),
-                   key=lambda k: (-states[k][1], states[k][2], states[k][0]))
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    matrix = np.empty((2 ** num_qubits, len(order)))
-    for cols_l, cols_r, block, first in recoupling:
-        matrix[:, position[first:first + block.shape[1]]] = (
-            np.kron(u_half[:, cols_l], u_half[:, cols_r]) @ block)
+    else:
+        u_half = _transform(num_qubits // 2)
+        dim = len(u_half)
+        matrix = np.empty((dim * dim, dim * dim))
+        for tj_l, tj_r, gather, scatter in _plan(num_qubits)[1]:
+            columns = u_half[:, None, gather // dim] * u_half[None, :, gather % dim]
+            matrix[:, scatter] = columns.reshape(dim * dim, -1) @ _pair_block(tj_l, tj_r)
     matrix.flags.writeable = False
-    result = (matrix, [states[k] for k in order])
-    _TRANSFORM_CACHE[num_qubits] = result
-    return result
+    return matrix
 
 
 def _check_dense(num_qubits: int) -> None:
@@ -176,24 +193,15 @@ class _LevelGroups:
     num_fine: int
 
 
-# Label tables of the canonical basis, one per register size (and level),
-# each built on first use: analyze_state needs only the ladder bins.
-
 _SPIN_LABELS = tuple(SpinLabel(tj) for tj in range(MAX_TWICE_J + 1))
-
-
-def _readonly(values) -> np.ndarray:
-    array = np.asarray(values, dtype=np.intp)
-    array.flags.writeable = False
-    return array
 
 
 @cache
 def _basis_states(num_qubits: int) -> tuple[MultipletBasisState, ...]:
-    _, raw = _transform_with_states(num_qubits)
     return tuple(
-        MultipletBasisState(tuple(_SPIN_LABELS[t] for t in path), MultipletLabel(tj, tm))
-        for path, tj, tm in raw
+        MultipletBasisState(tuple(_SPIN_LABELS[t] for t in row[:-2]),
+                            MultipletLabel(row[-2], row[-1]))
+        for row in _plan(num_qubits)[0].tolist()
     )
 
 
@@ -201,37 +209,30 @@ def _basis_states(num_qubits: int) -> tuple[MultipletBasisState, ...]:
 def _ladder_bins(num_qubits: int) -> np.ndarray:
     """W_j index of each basis state: the lowest level whose node spin is not
     maximal (2j != 2^level), or 0 when every node is maximal (the state is in V_M)."""
-    _, raw = _transform_with_states(num_qubits)
-    node_levels = _postorder_levels(num_qubits)
-    return _readonly([
-        min((lv for t, lv in zip(path, node_levels) if t != 2 ** lv), default=0)
-        for path, _, _ in raw
-    ])
+    table, _ = _plan(num_qubits)
+    levels = np.array(_postorder_levels(num_qubits), dtype=np.intp)
+    top = num_qubits.bit_length()  # M + 1: above every level, so "% top" maps it to 0
+    lowest = np.where(table[:, :len(levels)] != 2 ** levels, levels, top)
+    bins = lowest.min(axis=1, initial=top) % top
+    bins.flags.writeable = False
+    return bins
 
 
 @cache
 def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
-    _, raw = _transform_with_states(num_qubits)
-    node_levels = _postorder_levels(num_qubits)
-    coarse = [i for i, lv in enumerate(node_levels) if lv >= level]
-    fine = [i for i, lv in enumerate(node_levels) if lv < level]
-    coarse_index: dict[tuple[tuple[int, ...], int], int] = {}
-    fine_index: dict[tuple[int, ...], int] = {}
-    label_id, fine_id = [], []
-    for path, _, tm in raw:
-        key = (tuple(path[i] for i in coarse), tm)
-        label_id.append(coarse_index.setdefault(key, len(coarse_index)))
-        fine_id.append(fine_index.setdefault(tuple(path[i] for i in fine), len(fine_index)))
-    labels = tuple(LevelLabel(tuple(_SPIN_LABELS[t] for t in spins), tm)
-                   for spins, tm in coarse_index)
+    if not 0 <= level < num_qubits.bit_length():
+        raise ValueError(f"level must be in 0..{num_qubits.bit_length() - 1}, got {level}")
+    table, _ = _plan(num_qubits)
+    node_levels = np.array(_postorder_levels(num_qubits))
+    # coarse: node spins at levels >= level, then 2M; fine: the other node spins
+    coarse = np.flatnonzero(np.append(node_levels >= level, [False, True]))
+    fine = np.flatnonzero(node_levels < level)
+    label_id, first = _first_seen(table[:, coarse])
+    fine_id, fine_first = _first_seen(table[:, fine])
+    labels = tuple(LevelLabel(tuple(_SPIN_LABELS[t] for t in row[:-1]), row[-1])
+                   for row in table[np.ix_(first, coarse)].tolist())
     return _LevelGroups(labels, {key: n for n, key in enumerate(labels)},
-                        _readonly(label_id), _readonly(fine_id), len(fine_index))
-
-
-def _level_groups(tree: CouplingTree, level: int) -> _LevelGroups:
-    if not 0 <= level <= tree.levels:
-        raise ValueError(f"level must be in 0..{tree.levels}, got {level}")
-    return _groups_at(tree.num_qubits, level)
+                        label_id, fine_id, len(fine_first))
 
 
 def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
@@ -245,8 +246,7 @@ def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
     raises ``ValueError``; copy it first to modify it.
     """
     _check_dense(tree.num_qubits)
-    matrix, _ = _transform_with_states(tree.num_qubits)
-    return matrix
+    return _transform(tree.num_qubits)
 
 
 def multiplet_basis_states(tree: CouplingTree) -> list[MultipletBasisState]:
@@ -268,9 +268,7 @@ def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:
     if level == 0:
         return np.eye(2 ** tree.num_qubits)
     block_size = 2 ** level
-    u_block, s_block = _transform_with_states(block_size)
-    cols = [k for k, (_, tj, _) in enumerate(s_block) if tj == block_size]
-    basis = u_block[:, cols]
+    basis = _transform(block_size)[:, _plan(block_size)[0][:, -2] == block_size]
     block_projector = basis @ basis.T
     num_blocks = tree.num_qubits // block_size
     return reduce(np.kron, [block_projector] * num_blocks)
@@ -300,7 +298,7 @@ def _check_state(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
 
 def _hierarchic_amplitudes(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
     """U^dagger psi, applying the real U to each part of psi so U stays real."""
-    matrix, _ = _transform_with_states(tree.num_qubits)
+    matrix = _transform(tree.num_qubits)
     return matrix.T @ state.real + 1j * (matrix.T @ state.imag)
 
 
@@ -323,7 +321,7 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
 def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
     """Distinct coarse labels at ``level``, in canonical basis order."""
     _check_dense(tree.num_qubits)
-    return list(_level_groups(tree, level).labels)
+    return list(_groups_at(tree.num_qubits, level).labels)
 
 
 def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
@@ -337,7 +335,7 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     result is unitary exactly when every block is unitary.
     """
     _check_dense(tree.num_qubits)
-    groups = _level_groups(tree, level)
+    groups = _groups_at(tree.num_qubits, level)
 
     def normalize(key):
         if isinstance(key, MultipletLabel):
@@ -374,7 +372,7 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     """
     _check_dense(tree.num_qubits)
     state = _check_state(state, tree)
-    groups = _level_groups(tree, level)
+    groups = _groups_at(tree.num_qubits, level)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
     scattered[groups.fine_id, groups.label_id] = _hierarchic_amplitudes(state, tree)
     return scattered.T @ scattered.conj(), list(groups.labels)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T  # noqa: F401
+from .constants import E2_MEV_NM, MU_B_MEV_PER_T
 from .dot_scales import (  # noqa: F401
     DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
 )

@@ -122,11 +122,17 @@ def test_pulse_subcommand(capsys):
 
 def test_pulse_area_spellings(capsys):
     for spelling, value in [("pi/2", np.pi / 2), ("2pi", 2 * np.pi),
-                            ("2*pi", 2 * np.pi), ("1.5", 1.5)]:
-        code, out, _ = run_cli(capsys, "pulse", "--j0", "1.0", "--area", spelling,
+                            ("2*pi", 2 * np.pi), ("1.5", 1.5), ("+2pi", 2 * np.pi),
+                            ("-pi", -np.pi), ("-pi/2", -np.pi / 2)]:
+        # a negative area needs a negative J0 for a positive duration
+        j0 = "-1.0" if value < 0 else "1.0"
+        code, out, _ = run_cli(capsys, "pulse", f"--j0={j0}", f"--area={spelling}",
                                "--steps", "4")
         assert code == 0
         assert json.loads(out)["area"] == pytest.approx(value, rel=1e-15)
+    outputs = [run_cli(capsys, "pulse", "--j0=-1", f"--area={area}")
+               for area in ("-pi", repr(-np.pi))]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_jsweep_csv(tmp_path, capsys):

@@ -202,6 +202,8 @@ def test_transform_bit_equal_to_column_reference(num_qubits):
     tree = hi.build_coupling_tree(num_qubits)
     matrix, raw = _reference_transform(num_qubits)
     assert hi.hierarchic_transform(tree).tobytes() == matrix.tobytes()
+    # tobytes() is C-order whatever the layout; U.T @ x is not
+    assert hi.hierarchic_transform(tree).flags.c_contiguous
     assert hi.multiplet_basis_states(tree) == [
         hi.MultipletBasisState(tuple(SpinLabel(t) for t in path), MultipletLabel(tj, tm))
         for path, tj, tm in raw
@@ -213,6 +215,16 @@ def test_transform_unitarity(num_qubits, bound):
     u = hi.hierarchic_transform(hi.build_coupling_tree(num_qubits))
     dim = 2 ** num_qubits
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < bound
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 8, 16])
+def test_ladder_bins_count_the_ladder_dimensions(num_qubits):
+    # the bins come from the integer plan alone: at 16 qubits a dense
+    # transform would need 34 GB
+    levels = num_qubits.bit_length() - 1
+    dims = hi.ladder_dimensions(levels)
+    counts = np.bincount(hi._ladder_bins(num_qubits), minlength=levels + 1)
+    assert counts.tolist() == [dims.v[-1], *dims.w]
 
 
 def test_basis_states_are_consistent():

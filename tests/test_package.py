@@ -1,9 +1,12 @@
 """Package layout: lazy submodules, the numpy-free modules behind the integer
-and scalar subcommands, and the names the numerical modules re-export."""
+and scalar subcommands, the names the numerical modules re-export, and no
+unused imports in the package sources."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +64,29 @@ def test_package_resolves_every_listed_module():
 def test_numerical_modules_re_export_the_numpy_free_names(module, source, names):
     for name in names:
         assert getattr(module, name) is getattr(source, name), name
+
+
+def _unused_imports(path):
+    """Names bound by an import of ``path`` and never read; ``__future__``
+    imports and statements whose first line says ``# noqa: F401`` (the
+    deliberate re-exports) are skipped."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if future or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(Path(spinhier.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_sources_have_no_unused_imports(path):
+    assert _unused_imports(path) == []
