@@ -3,8 +3,10 @@
 Spin labels (angular momenta stored exactly as ``twice_j`` = 2j) are defined
 in ``register`` and re-exported here.  Coefficients follow the Condon-Shortley
 phase convention and are evaluated through the Racah closed-form sum in exact
-integer arithmetic; only the final square root is taken in floating point.
-This is free of cancellation for every j <= MAX_TWICE_J / 2.
+integer arithmetic; only the final square root is taken in floating point, so
+they are free of cancellation at every j.  Labels take any 2j; only this module
+caps it, at ``MAX_TWICE_J`` = 16 in ``cg`` and ``couple_pair_matrix``, as a
+cost guard on the factorials.
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ import numpy as np
 
 from .register import MAX_TWICE_J, InvalidLabelError, MultipletLabel, SpinLabel  # noqa: F401
 from .register import _check_twice_m
+
+
+def _check_supported(*twice_js: int) -> None:
+    """The cost guard: 2j above MAX_TWICE_J raises InvalidLabelError."""
+    if (largest := max(twice_js)) > MAX_TWICE_J:
+        raise InvalidLabelError(f"twice_j = {largest} exceeds the supported maximum {MAX_TWICE_J}")
 
 
 def _cg_value(tj1, tm1, tj2, tm2, tj, tm) -> float:
@@ -67,6 +75,7 @@ def cg(j1: SpinLabel, twice_m1: int, j2: SpinLabel, twice_m2: int,
     Magnetic numbers are passed as 2m.  Returns exactly 0.0 when the
     selection rules m1 + m2 = M or |j1 - j2| <= J <= j1 + j2 fail.
     """
+    _check_supported(j1.twice_j, j2.twice_j, target.twice_j)
     _check_twice_m(j1.twice_j, twice_m1)
     _check_twice_m(j2.twice_j, twice_m2)
     tj1, tj2 = j1.twice_j, j2.twice_j
@@ -99,6 +108,7 @@ def couple_pair_matrix(j1: SpinLabel, j2: SpinLabel) -> np.ndarray:
     rest are exactly 0.0.
     """
     tj1, tj2 = j1.twice_j, j2.twice_j
+    _check_supported(tj1, tj2)
     dim = (tj1 + 1) * (tj2 + 1)
     a = np.zeros((dim, dim))
     col = 0

@@ -240,8 +240,13 @@ def _cmd_jsweep(args) -> None:
         raise ValueError(f"--bmin {args.bmin} exceeds --bmax {args.bmax}")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    fields = np.linspace(args.bmin, args.bmax, args.points)
-    results = quantum_dot.sweep_exchange(params, fields, c=args.c)
+    # an overflow gives inf or nan, which the check below rejects
+    with np.errstate(all="ignore"):
+        fields = np.linspace(args.bmin, args.bmax, args.points)
+        results = quantum_dot.sweep_exchange(params, fields, c=args.c)
+    bad = next((res.j_mev for res in results if not math.isfinite(res.j_mev)), None)
+    if bad is not None:
+        raise ValueError(f"exchange coupling must be finite, got {bad}")
     lines = ["B_tesla,b,J_meV"]
     for b_field, res in zip(fields, results):
         lines.append(f"{_csv_float(b_field)},{_csv_float(res.b)},{_csv_float(res.j_mev)}")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="total-spin content of a register")
-    p.add_argument("--qubits", type=int, required=True, help="register size, 1..16")
+    p.add_argument("--qubits", type=int, required=True, help="register size, 1..4096")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("ladder", help="dimensions of the V/W ladder")

@@ -71,10 +71,15 @@ def physical_estimates(p: DotParameters) -> PhysicalEstimates:
     spin_orbit_ratio is H_SO / (hbar omega0) = hbar omega0 / (2 m c^2) for
     L.S of order hbar^2; dipole_mev is (mu_0 / 4 pi)(g mu_B)^2 / a_B^3,
     rewritten as g^2 e^2 (hbar c)^2 / (4 (m_e c^2)^2 a_B^3) so only pinned
-    constants enter.
+    constants enter.  Raises ValueError when an estimate leaves the float range.
     """
-    a_b = bohr_radius(p)
-    spin_orbit = p.hbar_omega0 / (2.0 * p.mass_ratio * MEC2_MEV)
-    dipole = (p.g ** 2 * E2_MEV_NM * HBARC_MEV_NM ** 2
-              / (4.0 * MEC2_MEV ** 2 * a_b ** 3))
+    try:
+        a_b = bohr_radius(p)
+        spin_orbit = p.hbar_omega0 / (2.0 * p.mass_ratio * MEC2_MEV)
+        dipole = (p.g ** 2 * E2_MEV_NM * HBARC_MEV_NM ** 2
+                  / (4.0 * MEC2_MEV ** 2 * a_b ** 3))
+    except (OverflowError, ZeroDivisionError):  # float ** overflows, a_B underflows to 0
+        a_b = spin_orbit = dipole = math.inf
+    if not all(map(math.isfinite, (a_b, spin_orbit, dipole))):
+        raise ValueError("scale estimates fall outside the float range for these parameters")
     return PhysicalEstimates(a_b_nm=a_b, spin_orbit_ratio=spin_orbit, dipole_mev=dipole)

@@ -15,10 +15,9 @@ In the multiplet basis the ladder is label bookkeeping on the integer label
 table of the recoupling plan, built once per register size on first use.  A
 basis state lies in W_j when j is the lowest level whose node spin is not
 maximal, and in V_M when every node is maximal, so a state profile is a
-histogram of squared hierarchic amplitudes over those bins.  A reduced density matrix scatters
-the amplitudes into a (fine part x coarse label) array A and returns
-A^T A^*.  The dense projectors V_j and W_j are kept as references for small
-registers; nothing else calls them.
+histogram of squared hierarchic amplitudes over those bins.  The dense
+projectors V_j and W_j are kept as references for small registers; nothing
+else calls them.
 
 Dense operations are limited to ``MAX_DENSE_QUBITS`` = 8 qubits: trees are
 powers of two, and the next size would need a 2^16 x 2^16 transform.
@@ -48,7 +47,6 @@ from .register import (  # noqa: F401
     register_content,
 )
 
-# 16 qubits, the next tree size, would need a 34 GB dense transform.
 MAX_DENSE_QUBITS = 8
 
 NORM_TOLERANCE = 1e-6
@@ -106,9 +104,13 @@ def _pair_block(tj_l: int, tj_r: int) -> np.ndarray:
 def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only id of each row's value, numbered in order of first appearance,
     and the index of the first row carrying each id (ascending)."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    low = rows.min(axis=0)
+    # One integer key per row; with no columns, every row gets the key 0.
+    keys = np.broadcast_to(np.ravel_multi_index((rows - low).T, rows.max(axis=0) - low + 1),
+                           len(rows))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    ids = np.argsort(order)[inverse.reshape(-1)]
+    ids = np.argsort(order)[inverse]
     ids.flags.writeable = False
     return ids, first[order]
 
@@ -187,19 +189,18 @@ class _LevelGroups:
     """
 
     labels: tuple[LevelLabel, ...]  # canonical first-seen order
-    label_index: dict[LevelLabel, int]
     label_id: np.ndarray
     fine_id: np.ndarray
     num_fine: int
 
 
-_SPIN_LABELS = tuple(SpinLabel(tj) for tj in range(MAX_TWICE_J + 1))
+_spin_label = cache(SpinLabel)
 
 
 @cache
 def _basis_states(num_qubits: int) -> tuple[MultipletBasisState, ...]:
     return tuple(
-        MultipletBasisState(tuple(_SPIN_LABELS[t] for t in row[:-2]),
+        MultipletBasisState(tuple(_spin_label(t) for t in row[:-2]),
                             MultipletLabel(row[-2], row[-1]))
         for row in _plan(num_qubits)[0].tolist()
     )
@@ -229,10 +230,9 @@ def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
     fine = np.flatnonzero(node_levels < level)
     label_id, first = _first_seen(table[:, coarse])
     fine_id, fine_first = _first_seen(table[:, fine])
-    labels = tuple(LevelLabel(tuple(_SPIN_LABELS[t] for t in row[:-1]), row[-1])
+    labels = tuple(LevelLabel(tuple(_spin_label(t) for t in row[:-1]), row[-1])
                    for row in table[np.ix_(first, coarse)].tolist())
-    return _LevelGroups(labels, {key: n for n, key in enumerate(labels)},
-                        label_id, fine_id, len(fine_first))
+    return _LevelGroups(labels, label_id, fine_id, len(fine_first))
 
 
 def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
@@ -265,8 +265,6 @@ def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:
     _check_dense(tree.num_qubits)
     if not 0 <= level <= tree.levels:
         raise ValueError(f"level must be in 0..{tree.levels}, got {level}")
-    if level == 0:
-        return np.eye(2 ** tree.num_qubits)
     block_size = 2 ** level
     basis = _transform(block_size)[:, _plan(block_size)[0][:, -2] == block_size]
     block_projector = basis @ basis.T
@@ -345,9 +343,9 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     operator = np.eye(2 ** tree.num_qubits, dtype=complex)
     for key, block in blocks.items():
         key = normalize(key)
-        if key not in groups.label_index:
+        if key not in groups.labels:
             raise ValueError(f"no basis states carry label {key} at level {level}")
-        indices = np.flatnonzero(groups.label_id == groups.label_index[key])
+        indices = np.flatnonzero(groups.label_id == groups.labels.index(key))
         block = np.asarray(block, dtype=complex)
         if block.shape != (len(indices), len(indices)):
             raise ValueError(

@@ -13,13 +13,11 @@ import operator
 from dataclasses import dataclass
 from functools import cache
 
-# Largest supported 2j.  Beyond spin 8 the factorial ratios grow without a use
-# case in this package; callers get a clear error instead of silent slowdowns.
+# Largest 2j that cg and couple_pair_matrix accept, a cost guard only they check.
 MAX_TWICE_J = 16
-# ladder_dimensions is closed-form integer arithmetic, independent of the
-# dense cap.
-MAX_LADDER_LEVELS = 12
+# The one register-size limit: content, coupling tree and ladder (2^12 qubits).
 MAX_TREE_QUBITS = 4096
+MAX_LADDER_LEVELS = MAX_TREE_QUBITS.bit_length() - 1
 
 
 class InvalidLabelError(ValueError):
@@ -40,10 +38,6 @@ def _check_twice_j(twice_j) -> None:
     twice_j = _as_integer("twice_j", twice_j)
     if twice_j < 0:
         raise InvalidLabelError(f"twice_j must be non-negative, got {twice_j}")
-    if twice_j > MAX_TWICE_J:
-        raise InvalidLabelError(
-            f"twice_j = {twice_j} exceeds the supported maximum {MAX_TWICE_J}"
-        )
 
 
 def _check_twice_m(twice_j: int, twice_m) -> None:
@@ -122,12 +116,11 @@ def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
     """Total-spin content of ``num_qubits`` spin-1/2 particles, descending J.
 
     Coupling order does not affect the content, so any register size from 1
-    to 16 is accepted (the coupling tree itself requires a power of two).
-    The ceiling is that of ``SpinLabel``: n qubits reach 2J = n, and 2j is
-    capped at ``MAX_TWICE_J`` = 16.
+    to ``MAX_TREE_QUBITS`` = 4096 is accepted (the coupling tree itself
+    requires a power of two).  The multiplicities are exact integers.
     """
-    if not 1 <= num_qubits <= MAX_TWICE_J:
-        raise ValueError(f"register size must be in 1..{MAX_TWICE_J}, got {num_qubits}")
+    if not 1 <= num_qubits <= MAX_TREE_QUBITS:
+        raise ValueError(f"register size must be in 1..{MAX_TREE_QUBITS}, got {num_qubits}")
     return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
 
 
@@ -177,15 +170,14 @@ class CouplingTree:
 
     def root_content(self) -> list[tuple[SpinLabel, int]]:
         """Total spins of the whole register with multiplicities, descending J."""
-        return [(SpinLabel(tj), mult) for tj, mult in self.root.content]
+        return register_content(self.num_qubits)
 
 
 def build_coupling_tree(num_qubits: int) -> CouplingTree:
     """Balanced adjacent-pair coupling tree over a power-of-two register."""
-    if num_qubits < 1 or num_qubits & (num_qubits - 1) != 0:
-        raise ValueError(f"register size must be a power of two, got {num_qubits}")
-    if num_qubits > MAX_TREE_QUBITS:
-        raise ValueError(f"register size {num_qubits} exceeds {MAX_TREE_QUBITS}")
+    if not 1 <= num_qubits <= MAX_TREE_QUBITS or num_qubits & (num_qubits - 1):
+        raise ValueError(f"register size must be a power of two in 1..{MAX_TREE_QUBITS}, "
+                         f"got {num_qubits}")
 
     def build(offset, size):
         if size == 1:

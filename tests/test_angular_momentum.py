@@ -122,8 +122,25 @@ def test_cg_invalid_labels():
         MultipletLabel(2, -4)
     with pytest.raises(InvalidLabelError):
         SpinLabel(-1)
-    with pytest.raises(InvalidLabelError):
-        SpinLabel(18)  # beyond the supported j range
+    with pytest.raises(InvalidLabelError, match="supported maximum 16"):
+        cg(SpinLabel(18), 18, HALF, 1, MultipletLabel(19, 19))  # beyond the supported j range
+
+
+def test_labels_take_any_size_and_only_the_numerics_cap_twice_j():
+    assert SpinLabel(18).multiplicity == 19
+    assert MultipletLabel(4096, 0).dimension == 4097
+    big = SpinLabel(18)
+    calls = [
+        lambda: cg(HALF, 1, big, 18, MultipletLabel(19, 19)),
+        lambda: cg(HALF, 1, HALF, -1, MultipletLabel(18, 0)),  # the selection rules fail too
+        lambda: couple_pair_matrix(big, HALF),
+        lambda: couple_pair_matrix(HALF, SpinLabel(17)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidLabelError, match="exceeds the supported maximum 16"):
+            call()
+    # 2j = 16 is still inside the cap, and coupling two of them reaches 2J = 32
+    assert couple_pair_matrix(SpinLabel(16), HALF).shape == (34, 34)
 
 
 def test_labels_accept_every_integer_type_but_bool():

@@ -1,6 +1,7 @@
 """Command-line surface: fixtures, round-trips, and error paths."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,19 @@ def test_integer_subcommands_at_their_ceilings_print_pinned_stdout(capsys):
     assert code == 0
     golden = Path(__file__).parent / "golden" / "ladder_levels_12.txt"
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_decompose_at_the_4096_qubit_limit(capsys):
+    n = 4096
+    code, out, err = run_cli(capsys, "decompose", "--qubits", str(n))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["content"]) == n // 2 + 1
+    assert doc["check"] == 2 ** n
+    assert len(out.split('"check":')[1].strip().rstrip("}")) == 1234  # digits of 2^4096
+    for k in [*range(0, n // 2, 37), n // 2]:  # a spread of k; math.comb is slow at this size
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        assert doc["content"][k] == {"J": n // 2 - k, "mult": mult}
 
 
 def test_gate_multiplet_matches_similarity_transform(capsys):
@@ -260,18 +274,34 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "[re, im]"),
     (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[Infinity,0],[0,0]]"},
      "amplitudes must be finite"),
-    (["decompose", "--qubits", "17"], {}, "register size must be in 1..16, got 17"),
+    (["decompose", "--qubits", "4097"], {}, "register size must be in 1..4096, got 4097"),
     (["pulse", "--j0", "1e-320", "--area", "pi"], {}, "pulse duration must be finite"),
     (["pulse", "--j0", "1e308", "--area", "pi"], {}, "accumulated pulse angle must be finite"),
     (["jsweep", "--points", "0"], {}, "--points must be >= 1, got 0"),
     (["jsweep", "--points", "-1"], {}, "--points must be >= 1, got -1"),
+    (["jsweep", "--c", "1.7e308", "--points", "3"], {},
+     "exchange coupling must be finite, got -inf"),
+    (["jsweep", "--d", "1e-160", "--points", "3"], {},
+     "exchange coupling must be finite, got inf"),
+    (["jsweep", "--bmax", "1.7e308"], {}, "argument must be in [0, 700.0], got inf"),
+    (["jsweep", "--d", "1e300"], {}, "argument must be in [0, 700.0], got inf"),
+    (["estimates", "--g", "1e300"], {}, "scale estimates fall outside the float range"),
+    (["estimates", "--mass-ratio", "1e-320"], {}, "scale estimates fall outside the float range"),
+    (["estimates", "--hbar-omega0", "1e-320"], {}, "scale estimates fall outside the float range"),
+    (["estimates", "--mass-ratio", "1e300"], {}, "scale estimates fall outside the float range"),
+    (["estimates", "--hbar-omega0", "1e300"], {}, "scale estimates fall outside the float range"),
+    (["estimates", "--hbar-omega0", "1e300", "--mass-ratio", "1e-300"], {},
+     "scale estimates fall outside the float range"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
         "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
-        "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-17",
+        "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-4097",
         "pulse-duration-inf", "pulse-angle-overflow", "jsweep-points-0",
-        "jsweep-points-negative"])
+        "jsweep-points-negative", "jsweep-c-overflow", "jsweep-d-underflow",
+        "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
+        "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
+        "estimates-omega-overflow", "estimates-ratio-overflow"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

@@ -4,6 +4,7 @@ error (exit 2), and never in another exception."""
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +95,22 @@ def test_csv_signals(capsys, tmp_path, text, levels, inverse):
         argv.append("--inverse")
     _run(capsys, argv)
 
+
+# The extremes that overflow or underflow the physics: a_B^3, J and its sinh.
+EXTREME_FLOATS = st.sampled_from([1e-320, 1e-160, 1e300, 1.7e308, float("nan"), float("inf")])
+OPTION_VALUES = st.one_of(NUMBERS, EXTREME_FLOATS, EXTREME_FLOATS.map(lambda x: -x))
+FLOAT_OPTIONS = {
+    "estimates": ("--g", "--hbar-omega0", "--mass-ratio", "--epsilon", "--d"),
+    "jsweep": ("--bmin", "--bmax", "--d", "--c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLOAT_OPTIONS))
+@FUZZ
+@given(data=st.data())
+def test_float_options(capsys, command, data):
+    options = data.draw(st.dictionaries(st.sampled_from(FLOAT_OPTIONS[command]), OPTION_VALUES))
+    argv = [command, *(f"{name}={value!r}" for name, value in options.items())]
+    if command == "jsweep":
+        argv.append("--points=3")
+    _run(capsys, argv)

@@ -72,7 +72,7 @@ def test_tree_single_qubit_is_leaf():
 
 def test_tree_rejects_bad_sizes():
     for bad in (0, 3, 6, 12, -4, 8192):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"power of two in 1..4096, got {bad}"):
             hi.build_coupling_tree(bad)
 
 
@@ -104,8 +104,9 @@ def test_register_content_any_size():
         assert [s.twice_j for s, _ in content] == sorted(_content_by_coupling(n), reverse=True)
         assert {s.twice_j: m for s, m in content} == _content_by_coupling(n)
     assert {s.twice_j: m for s, m in hi.register_content(3)} == {3: 1, 1: 2}
-    for bad in (0, 17, 4096):
-        with pytest.raises(ValueError, match=f"1..16, got {bad}"):
+    assert [s.twice_j for s, _ in hi.register_content(17)] == list(range(17, 0, -2))
+    for bad in (0, -1, 4097):
+        with pytest.raises(ValueError, match=f"1..4096, got {bad}"):
             hi.register_content(bad)
 
 
@@ -125,7 +126,9 @@ def test_tree_node_contents_match_coupling_reference():
 
 def test_tree_root_content_at_4096_qubits():
     n = 4096
-    content = hi.build_coupling_tree(n).root.content
+    content = [(s.twice_j, mult) for s, mult in hi.register_content(n)]
+    root = hi.build_coupling_tree(n).root_content()
+    assert [(s.twice_j, mult) for s, mult in root] == content
     assert [tj for tj, _ in content] == list(range(n, -1, -2))
     for k in [*range(0, n // 2, 37), n // 2]:  # a spread of k; math.comb is slow at this size
         assert content[k][1] == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
@@ -225,6 +228,32 @@ def test_ladder_bins_count_the_ladder_dimensions(num_qubits):
     dims = hi.ladder_dimensions(levels)
     counts = np.bincount(hi._ladder_bins(num_qubits), minlength=levels + 1)
     assert counts.tolist() == [dims.v[-1], *dims.w]
+
+
+def _record_sort_first_seen(rows):
+    """Reference grouping: np.unique over whole rows, re-ranked to first-seen order."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse.reshape(-1)], first[order]
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 4, 8])
+def test_level_groups_match_the_record_sort(num_qubits):
+    table, _ = hi._plan(num_qubits)
+    node_levels = np.array(hi._postorder_levels(num_qubits))
+    for level in range(num_qubits.bit_length()):
+        groups = hi._groups_at(num_qubits, level)
+        coarse = np.flatnonzero(np.append(node_levels >= level, [False, True]))
+        fine = np.flatnonzero(node_levels < level)
+        label_id, first = _record_sort_first_seen(table[:, coarse])
+        fine_id, fine_first = _record_sort_first_seen(table[:, fine])
+        assert np.array_equal(groups.label_id, label_id)
+        assert np.array_equal(groups.fine_id, fine_id)
+        assert groups.num_fine == len(fine_first)
+        assert [[s.twice_j for s in label.spins] + [label.twice_m]
+                for label in groups.labels] == table[np.ix_(first, coarse)].tolist()
+    # level 0 leaves no fine columns: one fine part holds every state
+    assert hi._groups_at(num_qubits, 0).num_fine == 1
 
 
 def test_basis_states_are_consistent():
