@@ -26,29 +26,14 @@ from . import dot_scales, register
 CANONICAL_ORDER = "descending terminal J, ascending M, lexicographic path"
 
 
-def _pair(z: complex) -> list[float]:
-    # + 0.0 folds negative zeros away for tidier documents
-    return [float(z.real) + 0.0, float(z.imag) + 0.0]
-
-
-def _matrix_payload(matrix) -> list:
+def _payload(array) -> list:
+    """Nested [re, im] pairs of a finite complex array; + 0.0 folds -0.0 away."""
     import numpy as np
 
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return [[_pair(z) for z in row] for row in matrix]
-
-
-def _vector_payload(vector) -> list:
-    import numpy as np
-
-    vector = np.asarray(vector, dtype=complex).ravel()
-    if not np.all(np.isfinite(vector.real)) or not np.all(np.isfinite(vector.imag)):
-        raise ValueError("vector contains non-finite entries")
-    return [_pair(z) for z in vector]
+    array = np.asarray(array, dtype=complex)
+    if not np.all(np.isfinite(array)):
+        raise ValueError("array contains non-finite entries")
+    return (np.stack((array.real, array.imag), -1) + 0.0).tolist()
 
 
 def _dumps(document) -> str:
@@ -57,7 +42,12 @@ def _dumps(document) -> str:
 
 def serialize_matrix(matrix) -> str:
     """Complex matrix as JSON rows of [re, im] pairs; round-trips bit-exactly."""
-    return _dumps(_matrix_payload(matrix))
+    import numpy as np
+
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
+    return _dumps(_payload(matrix))
 
 
 def parse_matrix(text: str):
@@ -80,6 +70,8 @@ def _parse_amplitudes(text: str):
             raise ValueError('state object has no "amplitudes" key')
         doc = doc["amplitudes"]
     try:
+        if any(type(x) is bool for pair in doc for x in pair):
+            raise TypeError
         return np.array([complex(re, im) for re, im in doc])
     except (TypeError, ValueError, OverflowError):
         raise ValueError("state must be a list of [re, im] number pairs") from None
@@ -159,7 +151,7 @@ def _cmd_transform(args) -> None:
     # A linear map: any finite vector is accepted, normalized or not.
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("state amplitudes must be finite")
-    # an overflow gives inf or nan, which _vector_payload rejects
+    # an overflow gives inf or nan, which _payload rejects
     with np.errstate(over="ignore", invalid="ignore"):
         if args.direction == "forward":
             result = matrix.conj().T @ amplitudes
@@ -173,7 +165,7 @@ def _cmd_transform(args) -> None:
         "direction": args.direction,
         "basis": basis,
         "ordering": CANONICAL_ORDER,
-        "amplitudes": _vector_payload(result),
+        "amplitudes": _payload(result),
         "states": [
             {
                 "path": [_spin_value(s.twice_j) for s in st.path],
@@ -222,7 +214,7 @@ def _cmd_pulse(args) -> None:
     doc = {
         "area": area,
         "tau_ns": profile.duration_ns,
-        "unitary": _matrix_payload(unitary),
+        "unitary": _payload(unitary),
         "fidelity_vs_swap": gates.gate_fidelity(unitary, gates.swap_gate()),
     }
     print(_dumps(doc))

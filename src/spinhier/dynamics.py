@@ -1,33 +1,24 @@
 """Heisenberg exchange dynamics of a spin pair under time-dependent pulses.
 
 Unit system: energies in meV, times in ns, with hbar from the pinned constants
-table.  Physical evolution uses exp(-i H t / hbar); a sign flag flips the
-exponent for callers wanting the conjugate convention.  Since the exchange
-Hamiltonian commutes with itself at all times, the pulse integrator converges
-to the closed form exp(-i (integral of J) S1.S2 / hbar) and is exact for
-constant pulses.
+table.  Evolution uses exp(-i H t / hbar).  Since the exchange Hamiltonian
+commutes with itself at all times, the pulse integrator converges to the
+closed form exp(-i (integral of J) S1.S2 / hbar) and is exact for constant
+pulses.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
-from .gates import S1Z, S2Z, exchange_propagator
+from .gates import S1Z, S2Z, exchange_propagator, swap_gate
 
-# One-qubit spin operators in the (down, up) basis.
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # raising: down -> up
-_SM = _SP.T
-_SX = 0.5 * (_SP + _SM)
-_SY = (_SP - _SM) / 2j
-_SZ = np.diag([-0.5, 0.5])
-
-SPIN_DOT = (
-    np.kron(_SX, _SX) + np.kron(_SY, _SY) + np.kron(_SZ, _SZ)
-).real  # S1.S2; real in this basis
+SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
 TOTAL_SZ = S1Z + S2Z
 
@@ -80,12 +71,14 @@ def zeeman_hamiltonian(b_tesla: float, g: float) -> np.ndarray:
     return g * MU_B_MEV_PER_T * b_tesla * TOTAL_SZ
 
 
-def evolve_pulse(profile: PulseProfile, steps: int, sign: int = -1) -> np.ndarray:
+def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
     """Propagator of an exchange pulse by midpoint-sampled piecewise-constant steps.
 
-    Each step applies exp(sign * i * J(t_mid) * dt * S1.S2 / hbar); the product
-    is time ordered (later steps act on the left).  Exact for constant J.
+    Each step applies exp(-i * J(t_mid) * dt * S1.S2 / hbar); the product is
+    time ordered (later steps act on the left).  Exact for constant J.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     dt = profile.duration_ns / steps
@@ -101,10 +94,10 @@ def evolve_pulse(profile: PulseProfile, steps: int, sign: int = -1) -> np.ndarra
         total_angle = float(np.sum(j_mid) * dt / HBAR_MEV_NS)
     if not math.isfinite(total_angle):
         raise ValueError(f"accumulated pulse angle must be finite, got {total_angle}")
-    return exchange_propagator(total_angle, sign)
+    return exchange_propagator(total_angle)
 
 
-def pulse_for_area(area: float, j0_mev: float, samples: int = 2) -> PulseProfile:
+def pulse_for_area(area: float, j0_mev: float) -> PulseProfile:
     """Constant pulse with the requested dimensionless area at height J0.
 
     Duration is hbar * area / J0; area and J0 must have the same sign.
@@ -116,4 +109,4 @@ def pulse_for_area(area: float, j0_mev: float, samples: int = 2) -> PulseProfile
         raise ValueError(
             f"degenerate pulse: area {area} with J0 {j0_mev} gives duration {duration}"
         )
-    return PulseProfile((float(j0_mev),) * samples, duration)
+    return PulseProfile((float(j0_mev),) * 2, duration)

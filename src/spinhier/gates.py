@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-UNITARITY_TOL = 1e-10
-
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U^dagger U - I."""
     u = np.asarray(u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-
-
-def _checked(u: np.ndarray) -> np.ndarray:
-    if unitarity_defect(u) >= UNITARITY_TOL:
-        raise ValueError("constructed gate failed the unitarity bound")
-    return u
 
 
 # Single-qubit spin-z in the (down, up) basis.
@@ -39,12 +31,12 @@ SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
 
 def cnot_product() -> np.ndarray:
     """Controlled-NOT in the product basis: flips the target when the control is up."""
-    return _checked(np.array([
+    return np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0, 0.0],
-    ]))
+    ])
 
 
 def to_multiplet(op: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -70,38 +62,35 @@ def single_spin_z_rotation(which: int, angle: float) -> np.ndarray:
 
 def swap_gate() -> np.ndarray:
     """Exchange of the two qubits; +1 on the triplet, -1 on the singlet."""
-    return _checked(np.array([
+    return np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-    ]))
+    ])
 
 
-def exchange_propagator(angle: float, sign: int = -1) -> np.ndarray:
-    """exp(sign * i * angle * S1.S2), via the triplet/singlet split.
+def exchange_propagator(angle: float) -> np.ndarray:
+    """exp(-i * angle * S1.S2), via the triplet/singlet split.
 
-    S1.S2 is angle/4 on the triplet and -3*angle/4 on the singlet, so the
-    exponential is assembled from the two projectors in closed form.
+    S1.S2 is 1/4 on the triplet and -3/4 on the singlet, so the exponential
+    is assembled from the two projectors in closed form.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign}")
     triplet = np.eye(4) - SINGLET_PROJECTOR
-    return (np.exp(sign * 0.25j * angle) * triplet
-            + np.exp(-sign * 0.75j * angle) * SINGLET_PROJECTOR)
+    return (np.exp(-0.25j * angle) * triplet
+            + np.exp(0.75j * angle) * SINGLET_PROJECTOR)
 
 
-def sqrt_swap_gate(sign: int = -1) -> np.ndarray:
+def sqrt_swap_gate() -> np.ndarray:
     """Square root of swap generated by a half-area exchange pulse.
 
-    Default convention exp(-i (pi/2) S1.S2): triplet phase e^{-i pi/8},
-    singlet e^{+3 i pi/8}.  ``sign=+1`` selects the conjugate convention.
-    Squaring gives swap up to a global phase either way.
+    exp(-i (pi/2) S1.S2): triplet phase e^{-i pi/8}, singlet e^{+3 i pi/8}.
+    Squaring gives swap up to a global phase.
     """
-    return _checked(exchange_propagator(np.pi / 2, sign))
+    return exchange_propagator(np.pi / 2)
 
 
-def xor_sequence(sign: int = -1) -> np.ndarray:
+def xor_sequence() -> np.ndarray:
     """Five-factor exchange sequence: z-rotations around two half-swaps.
 
     Evaluates e^{i pi/2 S_1z} e^{-i pi/2 S_2z} sqrt_swap e^{i pi S_1z}
@@ -109,8 +98,8 @@ def xor_sequence(sign: int = -1) -> np.ndarray:
     flip: diagonal, -1 on up-up relative to the rest, up to a global phase.
     A Hadamard on the target qubit converts it to CNOT.
     """
-    half_swap = sqrt_swap_gate(sign)
-    return _checked(
+    half_swap = sqrt_swap_gate()
+    return (
         single_spin_z_rotation(1, np.pi / 2)
         @ single_spin_z_rotation(2, -np.pi / 2)
         @ half_swap

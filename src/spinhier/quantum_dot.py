@@ -80,8 +80,9 @@ def exchange_coupling(b, d: float, c: float):
                           - e^{d^2 (b - 1/b)} I0(d^2 (b - 1/b)) }
                           + 3/(4b) (1 + b d^2) ] / sinh(2 d^2 (2b - 1/b))
 
-    ``b`` is a scalar (float result) or an array (array result); the domain is
-    checked over every element.
+    ``b`` is a scalar (float result) or an array (array result).  The domain,
+    b > 0, 2b - 1/b > 0 and b d^2 <= 700, is checked over every element;
+    on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range.
     """
     if not (math.isfinite(d) and d > 0):
         raise ValueError(f"half-distance d must be positive and finite, got {d}")
@@ -92,8 +93,15 @@ def exchange_coupling(b, d: float, c: float):
     sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
     _check_all(sinh_arg > 0, sinh_arg, "degenerate geometry: sinh argument must be positive")
     u = b * d * d
+    ok = u <= BESSEL_MAX_ARG
+    if not ok.all():
+        raise ValueError(
+            f"b * d^2 = {u[~ok].flat[0]} at b = {b[~ok].flat[0]}, d = {d}: "
+            f"the Bessel argument must be in [0, {BESSEL_MAX_ARG}]"
+        )
+    # with 2b > 1/b, |v| <= u; v < 0 for b < 1, and I0 is even
     v = d * d * (b - 1.0 / b)
-    braces = np.exp(-u) * bessel_i0(u) - np.exp(v) * bessel_i0(v)
+    braces = np.exp(-u) * bessel_i0(u) - np.exp(v) * bessel_i0(np.abs(v))
     j = (c * np.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u)) / np.sinh(sinh_arg)
     return float(j) if j.ndim == 0 else j
 

@@ -77,6 +77,8 @@ def test_gate_multiplet_matches_similarity_transform(capsys):
 
 def test_serialize_matrix_round_trip():
     assert cli.serialize_matrix(np.eye(2)) == "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]"
+    # negative zeros are folded to 0.0 in the document
+    assert cli.serialize_matrix([[complex(-0.0, -0.0), -1.0]]) == "[[[0.0,0.0],[-1.0,0.0]]]"
     pair = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
     assert np.array_equal(cli.parse_matrix(cli.serialize_matrix(pair)), pair)
     rng = np.random.default_rng(0)
@@ -283,8 +285,10 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "exchange coupling must be finite, got -inf"),
     (["jsweep", "--d", "1e-160", "--points", "3"], {},
      "exchange coupling must be finite, got inf"),
-    (["jsweep", "--bmax", "1.7e308"], {}, "argument must be in [0, 700.0], got inf"),
-    (["jsweep", "--d", "1e300"], {}, "argument must be in [0, 700.0], got inf"),
+    (["jsweep", "--bmax", "1.7e308"], {},
+     "b * d^2 = inf at b = inf, d = 0.7: the Bessel argument must be in [0, 700.0]"),
+    (["jsweep", "--d", "1e300"], {},
+     "b * d^2 = inf at b = 1.0, d = 1e+300: the Bessel argument must be in [0, 700.0]"),
     (["estimates", "--g", "1e300"], {}, "scale estimates fall outside the float range"),
     (["estimates", "--mass-ratio", "1e-320"], {}, "scale estimates fall outside the float range"),
     (["estimates", "--hbar-omega0", "1e-320"], {}, "scale estimates fall outside the float range"),
@@ -292,6 +296,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["estimates", "--hbar-omega0", "1e300"], {}, "scale estimates fall outside the float range"),
     (["estimates", "--hbar-omega0", "1e300", "--mass-ratio", "1e-300"], {},
      "scale estimates fall outside the float range"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[[true,false],[false,false]]"},
+     "state must be a list of [re, im] number pairs"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -301,7 +307,7 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "jsweep-points-negative", "jsweep-c-overflow", "jsweep-d-underflow",
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
-        "estimates-omega-overflow", "estimates-ratio-overflow"])
+        "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():
@@ -321,7 +327,7 @@ def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, 
     (MemoryError(), "error: out of memory\n"),
 ], ids=["numpy-message", "bare"])
 def test_memory_error_exits_one_with_one_error_line(capsys, monkeypatch, error, message):
-    def exhausted(profile, steps, sign=-1):
+    def exhausted(profile, steps):
         raise error
 
     monkeypatch.setattr(dynamics, "evolve_pulse", exhausted)

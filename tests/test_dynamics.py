@@ -13,6 +13,14 @@ def test_heisenberg_eigenvalues():
     assert np.max(np.abs(dynamics.heisenberg_hamiltonian(0.0))) == 0.0
 
 
+def test_spin_dot_is_bit_equal_to_component_sum():
+    # S1.S2 = sum_a S1a S2a from the one-spin operators in the (down, up) basis
+    sp = np.array([[0.0, 0.0], [1.0, 0.0]])
+    sx, sy, sz = 0.5 * (sp + sp.T), (sp - sp.T) / 2j, np.diag([-0.5, 0.5])
+    components = (np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)).real
+    assert dynamics.SPIN_DOT.tobytes() == components.tobytes()
+
+
 def test_heisenberg_total_spin_form():
     j = 1.7
     h = dynamics.heisenberg_hamiltonian(j)
@@ -95,13 +103,6 @@ def test_full_cycle_pulse_is_identity_up_to_phase():
     assert gates.gate_fidelity(u, np.eye(4)) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sign_flag_conjugates_propagator():
-    profile = dynamics.pulse_for_area(np.pi / 3, 0.7)
-    forward = dynamics.evolve_pulse(profile, 32, sign=-1)
-    backward = dynamics.evolve_pulse(profile, 32, sign=+1)
-    assert np.max(np.abs(forward - backward.conj())) < 1e-12
-
-
 def test_pulse_for_area_duration():
     profile = dynamics.pulse_for_area(np.pi, 1.0)
     assert profile.duration_ns == pytest.approx(np.pi * HBAR_MEV_NS, rel=1e-12)
@@ -148,3 +149,9 @@ def test_evolve_pulse_rejects_bad_steps():
     profile = dynamics.pulse_for_area(np.pi, 1.0)
     with pytest.raises(ValueError):
         dynamics.evolve_pulse(profile, 0)
+    # a fractional count would stretch the pulse (2.5 steps of D / 2.5 cover 1.2 D)
+    for steps in (2.5, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            dynamics.evolve_pulse(profile, steps)
+    assert np.array_equal(dynamics.evolve_pulse(profile, np.int64(2)),
+                          dynamics.evolve_pulse(profile, 2))

@@ -94,10 +94,9 @@ def test_swap_action():
 
 
 def test_sqrt_swap_squares_to_swap():
-    for sign in (-1, 1):
-        half = gates.sqrt_swap_gate(sign)
-        fid = gates.gate_fidelity(half @ half, gates.swap_gate())
-        assert fid == pytest.approx(1.0, abs=1e-12)
+    half = gates.sqrt_swap_gate()
+    fid = gates.gate_fidelity(half @ half, gates.swap_gate())
+    assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sqrt_swap_phase_convention():
@@ -106,8 +105,6 @@ def test_sqrt_swap_phase_convention():
     assert half[0, 0] == pytest.approx(np.exp(-1j * np.pi / 8), abs=1e-14)
     singlet = np.array([0.0, -SQ2, SQ2, 0.0])
     assert singlet @ half @ singlet == pytest.approx(np.exp(3j * np.pi / 8), abs=1e-14)
-    with pytest.raises(ValueError):
-        gates.sqrt_swap_gate(0)
 
 
 def test_xor_sequence_is_conditional_phase_flip():

@@ -114,6 +114,27 @@ def test_exchange_golden_value():
     assert abs(got - EXCHANGE_GOLDEN) / EXCHANGE_GOLDEN < 1e-12
 
 
+def _i0_series(x):
+    return math.fsum((x * x / 4) ** k / math.factorial(k) ** 2 for k in range(60))
+
+
+@pytest.mark.parametrize("b", [0.8, 0.95])
+def test_exchange_below_unit_field_parameter(b):
+    # 1/sqrt(2) < b < 1 is in the domain; there d^2 (b - 1/b) < 0 and I0 is even
+    d, c = 0.7, 2.36
+    u, v = b * d * d, d * d * (b - 1 / b)
+    braces = math.exp(-u) * _i0_series(u) - math.exp(v) * _i0_series(abs(v))
+    want = ((c * math.sqrt(b) * braces + 3 / (4 * b) * (1 + u))
+            / math.sinh(2 * d * d * (2 * b - 1 / b)))
+    assert qd.exchange_coupling(b, d, c) == pytest.approx(want, rel=1e-12)
+    assert qd.exchange_coupling(np.array([b]), d, c)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_exchange_names_b_and_d_above_the_bessel_range():
+    with pytest.raises(ValueError, match=r"b \* d\^2 = 750\.0 at b = 30\.0, d = 5\.0"):
+        qd.exchange_coupling(np.array([1.0, 30.0]), 5.0, 2.36)
+
+
 def test_exchange_suppression_at_large_distance():
     assert abs(qd.exchange_coupling(1.0, 4.0, 2.4)) < 1e-3
 

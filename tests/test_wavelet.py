@@ -57,6 +57,10 @@ def test_forward_rejects_bad_shapes():
         wv.pyramid_forward(np.ones(12), 2)  # not dyadic
     with pytest.raises(ValueError):
         wv.pyramid_forward(np.ones(8), 4)  # too many levels
+    for levels in (1.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            wv.pyramid_forward(np.ones(8), levels)
+    assert wv.pyramid_forward(np.ones(8), np.int64(1)).levels == 1
 
 
 def test_inverse_hand_case():
