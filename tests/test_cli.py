@@ -126,8 +126,7 @@ def test_analyze_subcommand(tmp_path, capsys):
 
 
 def test_pulse_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "pulse", "--j0", "1.0", "--area", "pi",
-                           "--steps", "64")
+    code, out, _ = run_cli(capsys, "pulse", "--j0", "1.0", "--area", "pi")
     assert code == 0
     doc = json.loads(out)
     assert doc["fidelity_vs_swap"] == pytest.approx(1.0, abs=1e-10)
@@ -136,14 +135,23 @@ def test_pulse_subcommand(capsys):
     assert doc["area"] == pytest.approx(np.pi, rel=1e-15)
 
 
+@pytest.mark.parametrize("area,j0", [("pi", 1.0), ("pi/2", 0.37), ("-3pi/4", -2.0)])
+def test_pulse_stdout_is_the_1024_step_gate(capsys, area, j0):
+    code, out, _ = run_cli(capsys, "pulse", f"--j0={j0}", f"--area={area}")
+    assert code == 0
+    profile = dynamics.pulse_for_area(cli._parse_area(area), j0)
+    unitary = dynamics.evolve_pulse(profile, 1024)
+    pairs = np.stack((unitary.real, unitary.imag), -1) + 0.0
+    assert json.loads(out)["unitary"] == pairs.tolist()
+
+
 def test_pulse_area_spellings(capsys):
     for spelling, value in [("pi/2", np.pi / 2), ("2pi", 2 * np.pi),
                             ("2*pi", 2 * np.pi), ("1.5", 1.5), ("+2pi", 2 * np.pi),
                             ("-pi", -np.pi), ("-pi/2", -np.pi / 2)]:
         # a negative area needs a negative J0 for a positive duration
         j0 = "-1.0" if value < 0 else "1.0"
-        code, out, _ = run_cli(capsys, "pulse", f"--j0={j0}", f"--area={spelling}",
-                               "--steps", "4")
+        code, out, _ = run_cli(capsys, "pulse", f"--j0={j0}", f"--area={spelling}")
         assert code == 0
         assert json.loads(out)["area"] == pytest.approx(value, rel=1e-15)
     outputs = [run_cli(capsys, "pulse", "--j0=-1", f"--area={area}")
@@ -211,6 +219,19 @@ def test_haar_round_trip(tmp_path, capsys):
     assert code == 0
     back = [float(line) for line in recovered.read_text().split()]
     assert back == pytest.approx(signal, abs=1e-12)
+
+
+def test_haar_round_trip_at_every_depth(tmp_path, capsys):
+    signal = np.random.default_rng(5).standard_normal(64).tolist()
+    infile, coeffs, recovered = (tmp_path / name for name in ("s.csv", "c.csv", "r.csv"))
+    infile.write_text("".join(f"{v!r}\n" for v in signal))
+    for levels in range(7):
+        assert run_cli(capsys, "haar", "--in", str(infile), "--levels", str(levels),
+                       "--out", str(coeffs))[0] == 0
+        assert run_cli(capsys, "haar", "--in", str(coeffs), "--levels", str(levels),
+                       "--inverse", "--out", str(recovered))[0] == 0
+        back = [float(line) for line in recovered.read_text().split()]
+        assert back == pytest.approx(signal, abs=1e-12)
 
 
 def test_estimates_subcommand(capsys):
@@ -331,8 +352,7 @@ def test_memory_error_exits_one_with_one_error_line(capsys, monkeypatch, error, 
         raise error
 
     monkeypatch.setattr(dynamics, "evolve_pulse", exhausted)
-    code, out, err = run_cli(capsys, "pulse", "--j0", "0.5", "--area", "pi",
-                             "--steps", "100000000000")
+    code, out, err = run_cli(capsys, "pulse", "--j0", "0.5", "--area", "pi")
     assert code == 1
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
@@ -371,7 +391,8 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["ladder", "--levels", "2", "--bogus"])
     assert info.value.code == 2
-    for argv in (["pulse", "--j0", "1", "--area=--"], ["jsweep", "--bmin=--"]):
+    for argv in (["pulse", "--j0", "1", "--area=--"], ["jsweep", "--bmin=--"],
+                 ["pulse", "--j0", "1", "--area", "pi", "--steps", "4"]):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2

@@ -48,7 +48,7 @@ AREAS = st.one_of(TEXT, st.lists(AREA_PIECES, max_size=8).map("".join))
 @given(area=AREAS)
 @example(area="--")
 def test_area_strings(capsys, area):
-    _run(capsys, ["pulse", "--j0", "1.0", f"--area={area}", "--steps", "4"])
+    _run(capsys, ["pulse", "--j0", "1.0", f"--area={area}"])
 
 
 JSON_VALUES = st.recursive(

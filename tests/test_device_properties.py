@@ -145,6 +145,15 @@ def test_sweep_matches_exchange_at_field_pointwise(case):
         assert abs(result.j_mev - spot.j_mev) <= 1e-15 * abs(spot.j_mev)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.3, 1.5), st.lists(st.floats(0.0, 12.0), min_size=1, max_size=16),
+       st.one_of(st.none(), st.floats(-5.0, 5.0)))
+def test_exchange_at_field_is_a_one_point_sweep(d, fields, c):
+    for field in fields:
+        params = qd.DotParameters.gaas(d=d, b_field=field)
+        assert qd.exchange_at_field(params, c) == qd.sweep_exchange(params, [field], c)[0]
+
+
 def test_exchange_result_is_an_immutable_named_tuple():
     sweep = qd.sweep_exchange(qd.DotParameters.gaas(d=0.7), [0.0, 0.5, 2.0])
     assert all(isinstance(result, qd.ExchangeResult) for result in sweep)

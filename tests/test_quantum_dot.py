@@ -5,6 +5,7 @@ The Bessel and exchange golden values below were computed beforehand with a
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_exchange_below_unit_field_parameter(b):
 def test_exchange_names_b_and_d_above_the_bessel_range():
     with pytest.raises(ValueError, match=r"b \* d\^2 = 750\.0 at b = 30\.0, d = 5\.0"):
         qd.exchange_coupling(np.array([1.0, 30.0]), 5.0, 2.36)
+
+
+# mpmath at 50 digits on the closed form, for b = 1.2, d = 17, c = 1
+EXCHANGE_FAR_FIELD = -5.04438402930062e-303
+
+
+@pytest.mark.parametrize("b,d", [(28.0, 5.0), (14.0, 7.0), (1.2, 17.0)])
+def test_exchange_is_finite_without_warnings_across_its_domain(b, d):
+    # e^{v} I0(v) and sinh(2 d^2 (2b - 1/b)) each overflow here on their own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qd.exchange_coupling(b, d, 1.0)
+        assert math.isfinite(got)
+        assert np.isfinite(qd.exchange_coupling(np.array([1.0, b]), d, 1.0)).all()
+    if (b, d) == (1.2, 17.0):
+        assert abs(got - EXCHANGE_FAR_FIELD) <= 1e-12 * abs(EXCHANGE_FAR_FIELD)
 
 
 def test_exchange_suppression_at_large_distance():
