@@ -107,7 +107,7 @@ def exchange_coupling(b, d: float, c: float):
     w = np.abs(v)
     decay = np.exp(-sinh_arg)
     braces = np.exp(-u) * np.i0(u) * decay - np.exp(-w) * np.i0(w) * np.exp(v + w - sinh_arg)
-    j = (c * np.sqrt(b) * braces + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
+    j = (c * (np.sqrt(b) * braces) + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
         -2.0 / np.expm1(-2.0 * sinh_arg))
     return float(j) if j.ndim == 0 else j
 
@@ -123,7 +123,8 @@ def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[E
         c = coulomb_parameter(p)
     b = _dimensionless_fields(p, b_fields)
     j = exchange_coupling(b, p.d, c) * p.hbar_omega0
-    return list(map(ExchangeResult._make, zip(b.tolist(), repeat(c), j.tolist())))
+    # tuple.__new__ is what ExchangeResult._make calls, minus a Python frame per point
+    return list(map(tuple.__new__, repeat(ExchangeResult), zip(b.tolist(), repeat(c), j.tolist())))
 
 
 def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,

@@ -302,8 +302,6 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["pulse", "--j0", "1e308", "--area", "pi"], {}, "accumulated pulse angle must be finite"),
     (["jsweep", "--points", "0"], {}, "--points must be >= 1, got 0"),
     (["jsweep", "--points", "-1"], {}, "--points must be >= 1, got -1"),
-    (["jsweep", "--c", "1.7e308", "--points", "3"], {},
-     "exchange coupling must be finite, got -inf"),
     (["jsweep", "--d", "1e-160", "--points", "3"], {},
      "exchange coupling must be finite, got inf"),
     (["jsweep", "--bmax", "1.7e308"], {},
@@ -325,7 +323,7 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
         "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-4097",
         "pulse-duration-inf", "pulse-angle-overflow", "jsweep-points-0",
-        "jsweep-points-negative", "jsweep-c-overflow", "jsweep-d-underflow",
+        "jsweep-points-negative", "jsweep-d-underflow",
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
         "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes"])
@@ -356,6 +354,16 @@ def test_memory_error_exits_one_with_one_error_line(capsys, monkeypatch, error, 
     assert code == 1
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_jsweep_at_a_huge_coulomb_parameter(capsys):
+    # c * sqrt(b) alone overflows; the scaled braces bring J back into range
+    code, out, _ = run_cli(capsys, "jsweep", "--c", "1.7e308", "--points", "3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [field for field, _, _ in rows] == ["0.0", "1.0", "2.0"]
+    # J at B = 2 T agrees with a 50-digit evaluation of the closed form
+    assert rows[-1][2] == "-1.5388268878141617e+308"
 
 
 def test_jsweep_single_field(capsys):

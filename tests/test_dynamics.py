@@ -1,7 +1,11 @@
 """Exchange Hamiltonians, Zeeman splitting, and pulse evolution."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhier import dynamics, gates
 from spinhier.constants import HBAR_MEV_NS, MU_B_MEV_PER_T
@@ -155,3 +159,45 @@ def test_evolve_pulse_rejects_bad_steps():
             dynamics.evolve_pulse(profile, steps)
     assert np.array_equal(dynamics.evolve_pulse(profile, np.int64(2)),
                           dynamics.evolve_pulse(profile, 2))
+
+
+def _exact_midpoint_sum(samples, steps):
+    """Midpoint rule of the linear interpolation in exact rationals, visiting
+    every midpoint; also the float sum of |J| over the midpoints."""
+    seg = len(samples) - 1
+    count, offset, magnitude = [0] * seg, [0] * seg, 0.0
+    for k in range(steps):
+        position = (2 * k + 1) * seg  # sample position times 2 * steps
+        i = position // (2 * steps)
+        count[i] += 1
+        offset[i] += position - 2 * steps * i
+        magnitude += abs(samples[i] + (position / (2 * steps) - i)
+                         * (samples[i + 1] - samples[i]))
+    exact = sum(n * Fraction(lo) + Fraction(off, 2 * steps) * (Fraction(hi) - Fraction(lo))
+                for n, off, lo, hi in zip(count, offset, samples, samples[1:]))
+    return exact, magnitude
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40), st.integers(1, 5000))
+def test_closed_form_midpoint_sum_matches_exact_rationals(samples, steps):
+    exact, magnitude = _exact_midpoint_sum(samples, steps)
+    error = abs(Fraction(dynamics._midpoint_sum(samples, steps)) - exact)
+    # relative to the summed magnitudes: a sum that cancels to near zero has no
+    # relative accuracy in any float summation, and for a profile that keeps
+    # one sign the magnitude is |sum|
+    assert error <= 1e-13 * max(1.0, magnitude)
+
+
+def test_evolve_pulse_cost_does_not_depend_on_steps():
+    # at 10**12 steps a steps-long float array would take 8 TB
+    steps, j0 = 10**12, 1.0
+    profile = dynamics.pulse_for_area(3.14, j0)
+    angle = steps * j0 * (profile.duration_ns / steps) / HBAR_MEV_NS
+    assert np.array_equal(dynamics.evolve_pulse(profile, steps),
+                          gates.exchange_propagator(angle))
+    # a piecewise-linear pulse: only the steps that straddle a sample miss the
+    # trapezoid area, by O(dt^2) each
+    triangle = dynamics.PulseProfile((0.0, 1.0, 0.25), 2.0)
+    u = dynamics.evolve_pulse(triangle, steps + 1)
+    assert np.max(np.abs(u - gates.exchange_propagator(triangle.area()))) < 1e-12

@@ -194,6 +194,21 @@ def test_sweep_changes_sign_in_two_tesla():
         qd.dimensionless_field(qd.DotParameters.gaas(b_field=2.0)), rel=1e-12)
 
 
+def test_sweep_records_are_bit_identical_to_the_array_evaluation():
+    fields = np.sort(np.random.default_rng(2001).uniform(0.0, 4.0, 2001))
+    p = qd.DotParameters.gaas(d=0.6)
+    c = qd.coulomb_parameter(p)
+    b = qd._dimensionless_fields(p, fields)
+    j = qd.exchange_coupling(b, p.d, c) * p.hbar_omega0
+    results = qd.sweep_exchange(p, fields)
+    assert all(type(res) is qd.ExchangeResult for res in results)
+    assert all(type(x) is float for res in results for x in res)
+    columns = np.array(results).T  # b, c, j_mev
+    assert columns[0].tobytes() == b.tobytes()
+    assert columns[1].tobytes() == np.full(len(fields), c).tobytes()
+    assert columns[2].tobytes() == j.tobytes()
+
+
 def test_exchange_at_field_uses_derived_coulomb():
     res = qd.exchange_at_field(GAAS)
     assert res.c == pytest.approx(qd.coulomb_parameter(GAAS), rel=1e-15)
