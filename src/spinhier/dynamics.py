@@ -11,17 +11,20 @@ form per segment: the cost is O(len(samples)), independent of the step count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
+from .register import _as_integer
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
 TOTAL_SZ = S1Z + S2Z
+
+# Largest step count: up to 2^53 the step and midpoint counts are exact floats.
+MAX_STEPS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,10 @@ def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
     time ordered (later steps act on the left).  Exact for constant J.  The
     steps commute, so the product is one exchange rotation by the summed
     midpoint rule, which has a closed form per segment of the linearly
-    interpolated profile: the cost is O(len(samples)), independent of steps.
+    interpolated profile: the cost is O(len(samples)), independent of steps,
+    which may be any integer from 1 to ``MAX_STEPS`` = 2^53.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = _as_integer("steps", steps, range(1, MAX_STEPS + 1))
     dt = profile.duration_ns / steps
     # The sum can overflow (J near the float maximum) and then meet a zero dt
     # or an opposite infinity; a non-finite angle is refused below.

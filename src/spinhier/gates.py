@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .register import _as_integer
+
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U^dagger U - I."""
@@ -54,8 +56,7 @@ def to_multiplet(op: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def single_spin_z_rotation(which: int, angle: float) -> np.ndarray:
     """exp(i * angle * S_z) on qubit 1 or 2 of a pair (diagonal, 4x4)."""
-    if which not in (1, 2):
-        raise ValueError(f"qubit index must be 1 or 2, got {which}")
+    which = _as_integer("which", which, (1, 2), "qubit index must be 1 or 2, got {}")
     sz = S1Z if which == 1 else S2Z
     return np.diag(np.exp(1j * angle * np.diag(sz)))
 

@@ -46,6 +46,7 @@ from .register import (  # noqa: F401
     MultipletLabel, SpinLabel, TreeNode, build_coupling_tree, ladder_dimensions,
     register_content,
 )
+from .register import _as_integer
 
 MAX_DENSE_QUBITS = 8
 
@@ -221,8 +222,6 @@ def _ladder_bins(num_qubits: int) -> np.ndarray:
 
 @cache
 def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
-    if not 0 <= level < num_qubits.bit_length():
-        raise ValueError(f"level must be in 0..{num_qubits.bit_length() - 1}, got {level}")
     table, _ = _plan(num_qubits)
     node_levels = np.array(_postorder_levels(num_qubits))
     # coarse: node spins at levels >= level, then 2M; fine: the other node spins
@@ -263,9 +262,7 @@ def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:
     A dense reference for the label-based :func:`analyze_state`.
     """
     _check_dense(tree.num_qubits)
-    if not 0 <= level <= tree.levels:
-        raise ValueError(f"level must be in 0..{tree.levels}, got {level}")
-    block_size = 2 ** level
+    block_size = 2 ** _as_integer("level", level, range(tree.levels + 1))
     basis = _transform(block_size)[:, _plan(block_size)[0][:, -2] == block_size]
     block_projector = basis @ basis.T
     num_blocks = tree.num_qubits // block_size
@@ -274,8 +271,7 @@ def approximation_projector(tree: CouplingTree, level: int) -> np.ndarray:
 
 def detail_projector(tree: CouplingTree, level: int) -> np.ndarray:
     """Orthogonal projector onto the detail space W_level = V_{level-1} minus V_level."""
-    if not 1 <= level <= tree.levels:
-        raise ValueError(f"level must be in 1..{tree.levels}, got {level}")
+    level = _as_integer("level", level, range(1, tree.levels + 1))
     return approximation_projector(tree, level - 1) - approximation_projector(tree, level)
 
 
@@ -319,6 +315,7 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
 def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
     """Distinct coarse labels at ``level``, in canonical basis order."""
     _check_dense(tree.num_qubits)
+    level = _as_integer("level", level, range(tree.levels + 1))
     return list(_groups_at(tree.num_qubits, level).labels)
 
 
@@ -333,6 +330,7 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     result is unitary exactly when every block is unitary.
     """
     _check_dense(tree.num_qubits)
+    level = _as_integer("level", level, range(tree.levels + 1))
     groups = _groups_at(tree.num_qubits, level)
 
     def normalize(key):
@@ -370,6 +368,7 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     """
     _check_dense(tree.num_qubits)
     state = _check_state(state, tree)
+    level = _as_integer("level", level, range(tree.levels + 1))
     groups = _groups_at(tree.num_qubits, level)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
     scattered[groups.fine_id, groups.label_id] = _hierarchic_amplitudes(state, tree)

@@ -18,30 +18,39 @@ MAX_TWICE_J = 16
 # The one register-size limit: content, coupling tree and ladder (2^12 qubits).
 MAX_TREE_QUBITS = 4096
 MAX_LADDER_LEVELS = MAX_TREE_QUBITS.bit_length() - 1
+_TREE_SIZES = tuple(1 << level for level in range(MAX_LADDER_LEVELS + 1))
 
 
 class InvalidLabelError(ValueError):
     """Angular-momentum label violates parity, range, or sign constraints."""
 
 
-def _as_integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer of any type (numpy's too) but bool."""
+def _as_integer(name: str, value, valid=None, message: str = "", error=ValueError) -> int:
+    """``value`` as an int if it is an integer of any type (numpy's too) but bool.
+
+    The one check of every integer argument of the public API.  Other types
+    raise ``error`` naming ``name``; an integer not in ``valid`` (None takes
+    any) raises ``error`` with ``message`` formatted with it, or a default.
+    """
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
     except TypeError:
-        pass
-    raise InvalidLabelError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if valid is None or number in valid:
+        return number
+    raise error(message.format(number) if message
+                else f"{name} must be in {valid[0]}..{valid[-1]}, got {number}")
 
 
 def _check_twice_j(twice_j) -> None:
-    twice_j = _as_integer("twice_j", twice_j)
-    if twice_j < 0:
+    if _as_integer("twice_j", twice_j, error=InvalidLabelError) < 0:
         raise InvalidLabelError(f"twice_j must be non-negative, got {twice_j}")
 
 
 def _check_twice_m(twice_j: int, twice_m) -> None:
-    twice_m = _as_integer("twice_m", twice_m)
+    twice_m = _as_integer("twice_m", twice_m, error=InvalidLabelError)
     if (twice_j - twice_m) % 2 != 0:
         raise InvalidLabelError(
             f"parity mismatch: twice_m = {twice_m} with twice_j = {twice_j}"
@@ -119,54 +128,64 @@ def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
     to ``MAX_TREE_QUBITS`` = 4096 is accepted (the coupling tree itself
     requires a power of two).  The multiplicities are exact integers.
     """
-    if not 1 <= num_qubits <= MAX_TREE_QUBITS:
-        raise ValueError(f"register size must be in 1..{MAX_TREE_QUBITS}, got {num_qubits}")
+    num_qubits = _as_integer("num_qubits", num_qubits, range(1, MAX_TREE_QUBITS + 1),
+                             f"register size must be in 1..{MAX_TREE_QUBITS}, got {{}}")
     return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
 
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One block of the coupling tree covering qubits [offset, offset + size)."""
+    """One block of the coupling tree: qubits [offset, offset + num_qubits)."""
 
     offset: int
     num_qubits: int
-    left: "TreeNode | None"
-    right: "TreeNode | None"
-    content: tuple[tuple[int, int], ...]  # (twice_j, multiplicity), descending J
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
     @property
     def level(self) -> int:
         """Block scale: the node covers 2^level qubits."""
         return self.num_qubits.bit_length() - 1
 
+    @property
+    def is_leaf(self) -> bool:
+        return self.num_qubits == 1
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return None if self.is_leaf else TreeNode(self.offset, self.num_qubits // 2)
+
+    @property
+    def right(self) -> "TreeNode | None":
+        half = self.num_qubits // 2
+        return None if self.is_leaf else TreeNode(self.offset + half, half)
+
+    @property
+    def content(self) -> tuple[tuple[int, int], ...]:  # (twice_j, multiplicity), descending J
+        return _content(self.num_qubits)
+
 
 @dataclass(frozen=True)
 class CouplingTree:
-    """Balanced pairwise coupling plan over a power-of-two register."""
+    """Balanced pairwise coupling plan over a power-of-two register, derived from its size."""
 
     num_qubits: int
-    levels: int
-    root: TreeNode
+
+    def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _as_integer(
+            "num_qubits", self.num_qubits, _TREE_SIZES,
+            f"register size must be a power of two in 1..{MAX_TREE_QUBITS}, got {{}}"))
+
+    @property
+    def levels(self) -> int:
+        return self.num_qubits.bit_length() - 1
+
+    @property
+    def root(self) -> TreeNode:
+        return TreeNode(0, self.num_qubits)
 
     def nodes_at_level(self, level: int) -> list[TreeNode]:
         """Blocks of 2^level qubits, left to right."""
-        if not 0 <= level <= self.levels:
-            raise ValueError(f"level must be in 0..{self.levels}, got {level}")
-        out = []
-
-        def walk(node):
-            if node.level == level:
-                out.append(node)
-            elif not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        size = 1 << _as_integer("level", level, range(self.levels + 1))
+        return [TreeNode(offset, size) for offset in range(0, self.num_qubits, size)]
 
     def root_content(self) -> list[tuple[SpinLabel, int]]:
         """Total spins of the whole register with multiplicities, descending J."""
@@ -175,19 +194,7 @@ class CouplingTree:
 
 def build_coupling_tree(num_qubits: int) -> CouplingTree:
     """Balanced adjacent-pair coupling tree over a power-of-two register."""
-    if not 1 <= num_qubits <= MAX_TREE_QUBITS or num_qubits & (num_qubits - 1):
-        raise ValueError(f"register size must be a power of two in 1..{MAX_TREE_QUBITS}, "
-                         f"got {num_qubits}")
-
-    def build(offset, size):
-        if size == 1:
-            return TreeNode(offset, 1, None, None, _content(1))
-        left = build(offset, size // 2)
-        right = build(offset + size // 2, size // 2)
-        return TreeNode(offset, size, left, right, _content(size))
-
-    levels = num_qubits.bit_length() - 1
-    return CouplingTree(num_qubits, levels, build(0, num_qubits))
+    return CouplingTree(num_qubits)
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,7 @@ def ladder_dimensions(levels: int) -> LadderDimensions:
     dim V_j = (2^j + 1)^(2^(M-j)): blocks of 2^j qubits restricted to their
     maximal spin 2^(j-1).  Values are exact integers for levels up to 12.
     """
-    if not 0 <= levels <= MAX_LADDER_LEVELS:
-        raise ValueError(f"levels must be in 0..{MAX_LADDER_LEVELS}, got {levels}")
+    levels = _as_integer("levels", levels, range(MAX_LADDER_LEVELS + 1))
     v = tuple((2 ** j + 1) ** (2 ** (levels - j)) for j in range(levels + 1))
     w = tuple(v[j - 1] - v[j] for j in range(1, levels + 1))
     return LadderDimensions(v, w)

@@ -10,11 +10,12 @@ level's output arrays, so a level allocates only what it returns.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+
+from .register import _as_integer
 
 _S = 1.0 / sqrt(2.0)
 
@@ -85,10 +86,8 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     if n < 1 or n & (n - 1) != 0:
         raise ValueError(f"signal length must be a power of two, got {n}")
     max_levels = n.bit_length() - 1
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral):
-        raise ValueError(f"levels must be an integer, got {levels!r}")
-    if not 0 <= levels <= max_levels:
-        raise ValueError(f"levels must be in 0..{max_levels} for length {n}")
+    levels = _as_integer("levels", levels, range(max_levels + 1),
+                         f"levels must be in 0..{max_levels} for length {n}")
     if levels == 0:
         return PyramidDecomposition(approximation=signal.copy(), details=())
     scratch = np.empty(n // 2)

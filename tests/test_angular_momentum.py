@@ -144,9 +144,9 @@ def test_labels_take_any_size_and_only_the_numerics_cap_twice_j():
 
 
 def test_labels_accept_every_integer_type_but_bool():
-    assert SpinLabel(np.int64(2)) == SpinLabel(2)
+    assert SpinLabel(np.int64(2)) == SpinLabel(np.int32(2)) == SpinLabel(2)
     assert MultipletLabel(np.int64(2), np.int32(-2)) == MultipletLabel(2, -2)
-    for bad in (True, np.True_, 2.0, np.float64(2.0), "2", None):
+    for bad in (True, np.True_, 2.0, 1.5, np.float64(2.0), "2", None):
         with pytest.raises(InvalidLabelError, match="twice_j must be an integer"):
             SpinLabel(bad)
         with pytest.raises(InvalidLabelError, match="twice_m must be an integer"):

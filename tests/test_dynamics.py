@@ -151,13 +151,18 @@ def test_evolve_pulse_rejects_an_overflowing_angle_without_warning():
 
 def test_evolve_pulse_rejects_bad_steps():
     profile = dynamics.pulse_for_area(np.pi, 1.0)
-    with pytest.raises(ValueError):
-        dynamics.evolve_pulse(profile, 0)
+    # 10**400 does not fit in a float, which dt = D / steps needs
+    for steps in (0, -1, dynamics.MAX_STEPS + 1, 10**400):
+        with pytest.raises(ValueError, match=r"steps must be in 1\.\.9007199254740992, got"):
+            dynamics.evolve_pulse(profile, steps)
     # a fractional count would stretch the pulse (2.5 steps of D / 2.5 cover 1.2 D)
-    for steps in (2.5, 2.0, True, np.bool_(True), "2"):
+    for steps in (2.5, 2.0, 1.5, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError, match="steps must be an integer"):
             dynamics.evolve_pulse(profile, steps)
-    assert np.array_equal(dynamics.evolve_pulse(profile, np.int64(2)),
+    for numpy_type in (np.int64, np.int32):
+        assert np.array_equal(dynamics.evolve_pulse(profile, numpy_type(2)),
+                              dynamics.evolve_pulse(profile, 2))
+    assert np.array_equal(dynamics.evolve_pulse(profile, dynamics.MAX_STEPS),
                           dynamics.evolve_pulse(profile, 2))
 
 

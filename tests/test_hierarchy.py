@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinhier import hierarchy as hi
+from spinhier import register
 from spinhier.angular_momentum import MultipletLabel, SpinLabel, cg
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -82,6 +83,25 @@ def test_tree_pairs_adjacent_blocks():
     assert offsets == [(0, 2), (2, 2), (4, 2), (6, 2)]
     offsets = [(n.offset, n.num_qubits) for n in tree.nodes_at_level(2)]
     assert offsets == [(0, 4), (4, 4)]
+
+
+def test_tree_is_derived_from_its_size():
+    for levels in range(hi.MAX_LADDER_LEVELS + 1):
+        tree = hi.build_coupling_tree(2 ** levels)
+        assert tree.levels == levels
+        frontier = [tree.root]  # a walk through left and right, one level at a time
+        for level in range(levels, -1, -1):
+            assert frontier == tree.nodes_at_level(level)
+            for node in frontier:
+                assert node.level == level
+                assert node.content is register._content(node.num_qubits)
+            frontier = [child for node in frontier for child in (node.left, node.right)]
+        assert frontier == [None] * 2 ** (levels + 1)
+    assert hi.build_coupling_tree(np.int64(8)) == hi.build_coupling_tree(8)
+    assert type(hi.build_coupling_tree(np.int64(8)).num_qubits) is int
+    # the size is checked however the tree is made
+    with pytest.raises(ValueError, match="power of two in 1..4096, got 3"):
+        hi.CouplingTree(3)
 
 
 def _content_by_coupling(num_qubits):

@@ -57,10 +57,15 @@ def test_forward_rejects_bad_shapes():
         wv.pyramid_forward(np.ones(12), 2)  # not dyadic
     with pytest.raises(ValueError):
         wv.pyramid_forward(np.ones(8), 4)  # too many levels
-    for levels in (1.0, True, np.bool_(True)):
+    for levels in (1.0, 1.5, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError, match="levels must be an integer"):
             wv.pyramid_forward(np.ones(8), levels)
-    assert wv.pyramid_forward(np.ones(8), np.int64(1)).levels == 1
+    signal = np.arange(8.0)
+    want = wv.pyramid_forward(signal, 2)
+    for numpy_type in (np.int64, np.int32):
+        got = wv.pyramid_forward(signal, numpy_type(2))
+        assert np.array_equal(got.approximation, want.approximation)
+        assert all(map(np.array_equal, got.details, want.details))
 
 
 def test_inverse_hand_case():
