@@ -94,14 +94,6 @@ def _postorder_levels(num_qubits: int) -> list[int]:
     return half + half + [num_qubits.bit_length() - 1]
 
 
-@cache
-def _pair_block(tj_l: int, tj_r: int) -> np.ndarray:
-    """Read-only couple_pair_matrix(j_l, j_r); its columns ascend in J, then M, as in _plan."""
-    block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
-    block.flags.writeable = False
-    return block
-
-
 def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only id of each row's value, numbered in order of first appearance,
     and the index of the first row carrying each id (ascending)."""
@@ -122,28 +114,35 @@ def _plan(num_qubits: int):
 
     ``table`` (read-only, integer) has one row per canonical column: the path
     spins 2j in post-order, then 2J and 2M.  ``entries`` holds C_n as one
-    ``(2j_l, 2j_r, gather, scatter)`` per pair of child (path, J) groups: the
-    columns of U_{n/2} x U_{n/2} in pair-block row order, and the canonical
-    positions of the block's columns.
+    ``(2j_l, 2j_r, gathers, scatters)`` per pair of child spins: row k of
+    ``gathers`` lists the columns of U_{n/2} x U_{n/2} of the k-th pair of
+    child (path, J) groups in pair-block row order, and row k of ``scatters``
+    the canonical positions of that pair block's columns.
     """
     if num_qubits == 1:
         table = np.array([[1, -1], [1, 1]])
         table.flags.writeable = False
         return table, ()
     half, _ = _plan(num_qubits // 2)
-    # Child columns by (path, J) group; M ascends within one, as down a pair block's rows.
-    group_id, first = _first_seen(half[:, :-1])
-    groups = [(half[k, :-2], int(half[k, -2]), np.flatnonzero(group_id == g))
-              for g, k in enumerate(first)]
-    blocks, rows = [], []
-    for path_l, tj_l, cols_l in groups:
-        for path_r, tj_r, cols_r in groups:
+    dim = len(half)
+    # The child columns of one J run M-major, path-minor: each column of that
+    # (2J + 1) x paths grid is one (path, J) group, M ascending as down a pair
+    # block's rows.  Transposed, row p of a grid lists the group of path p.
+    grids = [(tj, np.flatnonzero(half[:, -2] == tj).reshape(tj + 1, -1).T)
+             for tj in range(num_qubits // 2, -1, -2)]
+    entries, rows = [], []
+    for tj_l, grid_l in grids:
+        for tj_r, grid_r in grids:
+            gathers = (grid_l[:, None, :, None] * dim + grid_r[None, :, None, :]).reshape(
+                len(grid_l) * len(grid_r), -1)
+            # The pair block's columns: ascending J, then M, as in couple_pair_matrix.
             jm = np.array([(tj, tj, tm)
                            for tj in range(abs(tj_l - tj_r), tj_l + tj_r + 1, 2)
                            for tm in range(-tj, tj + 1, 2)])
-            path = np.concatenate((path_l, path_r))
-            rows.append(np.hstack((np.broadcast_to(path, (len(jm), len(path))), jm)))
-            blocks.append((tj_l, tj_r, (cols_l[:, None] * len(half) + cols_r).ravel()))
+            first_l, first_r = np.divmod(np.repeat(gathers[:, 0], len(jm)), dim)
+            rows.append(np.hstack((half[first_l, :-2], half[first_r, :-2],
+                                   np.tile(jm, (len(gathers), 1)))))
+            entries.append((tj_l, tj_r, gathers))
     stacked = np.concatenate(rows)
     # Canonical order: descending J, ascending M, then lexicographic path.
     order = np.lexsort((*stacked[:, -3::-1].T, stacked[:, -1], -stacked[:, -2]))
@@ -151,24 +150,29 @@ def _plan(num_qubits: int):
     table.flags.writeable = False
     position = np.argsort(order)  # canonical position of each stacked row
     scatters = np.split(position, np.cumsum([len(block) for block in rows])[:-1])
-    return table, tuple((*block, scatter) for block, scatter in zip(blocks, scatters))
+    return table, tuple((*entry, scatter.reshape(entry[2].shape))
+                        for entry, scatter in zip(entries, scatters))
 
 
 @cache
 def _transform(num_qubits: int) -> np.ndarray:
-    """Read-only, C-ordered U_n: each plan entry's gathered columns of
-    U_{n/2} x U_{n/2} times its pair block, written to its scatter.  Only those
-    columns are formed: freeing a whole 2^n x 2^n product would raise glibc's
-    mmap threshold, and so change how later large arrays are allocated."""
+    """Read-only, C-ordered U_n: for each pair of child (path, J) groups of a
+    plan entry, the gathered columns of U_{n/2} x U_{n/2} times the entry's
+    pair block, written to the scatter.  Only one group pair's columns are
+    formed at a time: freeing a whole 2^n x 2^n product, or even a whole
+    entry's, would raise glibc's mmap threshold, and so change how later
+    large arrays are allocated."""
     if num_qubits == 1:
         matrix = np.eye(2)
     else:
         u_half = _transform(num_qubits // 2)
         dim = len(u_half)
         matrix = np.empty((dim * dim, dim * dim))
-        for tj_l, tj_r, gather, scatter in _plan(num_qubits)[1]:
-            columns = u_half[:, None, gather // dim] * u_half[None, :, gather % dim]
-            matrix[:, scatter] = columns.reshape(dim * dim, -1) @ _pair_block(tj_l, tj_r)
+        for tj_l, tj_r, gathers, scatters in _plan(num_qubits)[1]:
+            block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
+            for gather, scatter in zip(gathers, scatters):
+                columns = u_half[:, None, gather // dim] * u_half[None, :, gather % dim]
+                matrix[:, scatter] = columns.reshape(dim * dim, -1) @ block
     matrix.flags.writeable = False
     return matrix
 
@@ -312,11 +316,18 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     return LadderProfile(tuple(float(w) for w in weights[1:]), float(weights[0]))
 
 
-def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
-    """Distinct coarse labels at ``level``, in canonical basis order."""
+def _level_groups(tree: CouplingTree, level: int) -> _LevelGroups:
+    """Groups at a checked ``level`` of a dense-size tree.  Level 0 is served
+    by level 1's: every internal node sits at level >= 1, so both levels have
+    the same coarse and fine columns."""
     _check_dense(tree.num_qubits)
     level = _as_integer("level", level, range(tree.levels + 1))
-    return list(_groups_at(tree.num_qubits, level).labels)
+    return _groups_at(tree.num_qubits, max(level, 1))
+
+
+def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
+    """Distinct coarse labels at ``level``, in canonical basis order."""
+    return list(_level_groups(tree, level).labels)
 
 
 def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
@@ -329,9 +340,7 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     :class:`MultipletLabel`.  Unlisted labels receive the identity.  The
     result is unitary exactly when every block is unitary.
     """
-    _check_dense(tree.num_qubits)
-    level = _as_integer("level", level, range(tree.levels + 1))
-    groups = _groups_at(tree.num_qubits, level)
+    groups = _level_groups(tree, level)
 
     def normalize(key):
         if isinstance(key, MultipletLabel):
@@ -366,10 +375,8 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     The amplitudes are scattered into a (fine part x coarse label) array A,
     so rho = A^T A^*.
     """
-    _check_dense(tree.num_qubits)
+    groups = _level_groups(tree, level)
     state = _check_state(state, tree)
-    level = _as_integer("level", level, range(tree.levels + 1))
-    groups = _groups_at(tree.num_qubits, level)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
     scattered[groups.fine_id, groups.label_id] = _hierarchic_amplitudes(state, tree)
     return scattered.T @ scattered.conj(), list(groups.labels)

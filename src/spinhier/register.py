@@ -44,12 +44,14 @@ def _as_integer(name: str, value, valid=None, message: str = "", error=ValueErro
                 else f"{name} must be in {valid[0]}..{valid[-1]}, got {number}")
 
 
-def _check_twice_j(twice_j) -> None:
-    if _as_integer("twice_j", twice_j, error=InvalidLabelError) < 0:
+def _check_twice_j(twice_j) -> int:
+    twice_j = _as_integer("twice_j", twice_j, error=InvalidLabelError)
+    if twice_j < 0:
         raise InvalidLabelError(f"twice_j must be non-negative, got {twice_j}")
+    return twice_j
 
 
-def _check_twice_m(twice_j: int, twice_m) -> None:
+def _check_twice_m(twice_j: int, twice_m) -> int:
     twice_m = _as_integer("twice_m", twice_m, error=InvalidLabelError)
     if (twice_j - twice_m) % 2 != 0:
         raise InvalidLabelError(
@@ -57,6 +59,7 @@ def _check_twice_m(twice_j: int, twice_m) -> None:
         )
     if abs(twice_m) > twice_j:
         raise InvalidLabelError(f"|twice_m| = {abs(twice_m)} exceeds twice_j = {twice_j}")
+    return twice_m
 
 
 @dataclass(frozen=True, order=True)
@@ -66,7 +69,7 @@ class SpinLabel:
     twice_j: int
 
     def __post_init__(self):
-        _check_twice_j(self.twice_j)
+        object.__setattr__(self, "twice_j", _check_twice_j(self.twice_j))
 
     @property
     def j(self) -> float:
@@ -90,8 +93,8 @@ class MultipletLabel:
     twice_m: int
 
     def __post_init__(self):
-        _check_twice_j(self.twice_j)
-        _check_twice_m(self.twice_j, self.twice_m)
+        object.__setattr__(self, "twice_j", _check_twice_j(self.twice_j))
+        object.__setattr__(self, "twice_m", _check_twice_m(self.twice_j, self.twice_m))
 
     @property
     def j(self) -> float:

@@ -82,6 +82,8 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     Every returned band is a new array; the input is never written to.
     """
     signal = np.asarray(signal, dtype=float)
+    if signal.ndim != 1:
+        raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
     n = len(signal)
     if n < 1 or n & (n - 1) != 0:
         raise ValueError(f"signal length must be a power of two, got {n}")
@@ -106,6 +108,9 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
     """
     approx = np.asarray(decomposition.approximation, dtype=float)
     bands = [np.asarray(high, dtype=float) for high in reversed(decomposition.details)]
+    for band in (approx, *bands):
+        if band.ndim != 1:
+            raise ValueError(f"bands must be one-dimensional, got shape {band.shape}")
     size = len(approx)
     for high in bands:
         if len(high) != size:

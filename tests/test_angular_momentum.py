@@ -1,6 +1,7 @@
 """Clebsch-Gordan coefficients against a ladder-operator oracle, an exact
 rational Racah reference and the textbook pair-coupling fixture."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -146,6 +147,13 @@ def test_labels_take_any_size_and_only_the_numerics_cap_twice_j():
 def test_labels_accept_every_integer_type_but_bool():
     assert SpinLabel(np.int64(2)) == SpinLabel(np.int32(2)) == SpinLabel(2)
     assert MultipletLabel(np.int64(2), np.int32(-2)) == MultipletLabel(2, -2)
+    # a label keeps the checked Python int, so no fixed-width numpy arithmetic follows
+    big = SpinLabel(np.int32(2 ** 31 - 1))
+    target = MultipletLabel(np.int64(16), np.int64(0))
+    assert {type(value) for value in (big.twice_j, target.twice_j, target.twice_m)} == {int}
+    assert big.multiplicity == 2 ** 31
+    assert cg(SpinLabel(8), 8, SpinLabel(8), -8, target) == 0.008814764755799084
+    assert json.dumps([big.twice_j, target.twice_j, target.twice_m]) == "[2147483647, 16, 0]"
     for bad in (True, np.True_, 2.0, 1.5, np.float64(2.0), "2", None):
         with pytest.raises(InvalidLabelError, match="twice_j must be an integer"):
             SpinLabel(bad)

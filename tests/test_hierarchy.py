@@ -276,6 +276,33 @@ def test_level_groups_match_the_record_sort(num_qubits):
     assert hi._groups_at(num_qubits, 0).num_fine == 1
 
 
+def test_levels_zero_and_one_share_one_label_group():
+    tree = hi.build_coupling_tree(8)
+    state = np.random.default_rng(13).standard_normal(256)
+    state /= np.linalg.norm(state)
+    hi._groups_at.cache_clear()
+    (rho0, labels0), (rho1, labels1) = (hi.reduce_to_level(state, tree, level) for level in (0, 1))
+    assert np.array_equal(rho0, rho1) and labels0 == labels1
+    assert hi._groups_at.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("num_qubits,types", [(1, 0), (2, 1), (4, 4), (8, 9), (16, 25)])
+def test_plan_holds_one_entry_per_pair_of_child_spins(num_qubits, types):
+    entries = hi._plan(num_qubits)[1]
+    child_spins = [tj for tj, _ in register._content(num_qubits // 2)] if num_qubits > 1 else []
+    assert [(tj_l, tj_r) for tj_l, tj_r, _, _ in entries] == [
+        (tj_l, tj_r) for tj_l in child_spins for tj_r in child_spins]
+    assert len(entries) == types
+    for tj_l, tj_r, gathers, scatters in entries:
+        for index in (gathers, scatters):
+            assert index.dtype.kind == "i"
+            assert index.shape == (len(gathers), (tj_l + 1) * (tj_r + 1))
+    if num_qubits > 1:
+        for part in (2, 3):
+            joined = np.concatenate([entry[part].ravel() for entry in entries])
+            assert np.array_equal(np.sort(joined), np.arange(2 ** num_qubits))
+
+
 def test_basis_states_are_consistent():
     tree = hi.build_coupling_tree(4)
     states = hi.multiplet_basis_states(tree)

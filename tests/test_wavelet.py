@@ -60,6 +60,9 @@ def test_forward_rejects_bad_shapes():
     for levels in (1.0, 1.5, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError, match="levels must be an integer"):
             wv.pyramid_forward(np.ones(8), levels)
+    for signal, levels in ((np.ones((4, 3)), 0), (np.ones((4, 2)), 1), (3.0, 0)):
+        with pytest.raises(ValueError, match="signal must be one-dimensional"):
+            wv.pyramid_forward(signal, levels)
     signal = np.arange(8.0)
     want = wv.pyramid_forward(signal, 2)
     for numpy_type in (np.int64, np.int32):
@@ -77,6 +80,14 @@ def test_inverse_shape_mismatch():
     bad = wv.PyramidDecomposition(np.array([1.0, 2.0]), (np.array([0.0]),))
     with pytest.raises(ValueError):
         wv.pyramid_inverse(bad)
+
+
+def test_inverse_rejects_bands_that_are_not_one_dimensional():
+    for bad in (wv.PyramidDecomposition(np.ones((2, 2)), (np.ones((2, 2)),)),
+                wv.PyramidDecomposition(np.ones(2), (np.ones((2, 1)),)),
+                wv.PyramidDecomposition(np.float64(1.0), ())):
+        with pytest.raises(ValueError, match="bands must be one-dimensional"):
+            wv.pyramid_inverse(bad)
 
 
 def test_round_trip_random_signals():
