@@ -19,6 +19,14 @@ histogram of squared hierarchic amplitudes over those bins.  The dense
 projectors V_j and W_j are kept as references for small registers; nothing
 else calls them.
 
+One integer key per label row defines the canonical order below: the plan
+sorts its table by it, and the coarse labels of a level are ranked by it.
+Sorted order is first-seen order.  Each block below the level takes its fine
+spins independently of the others, so a coarse label first appears with the
+lexicographically least fine completion of every block, and that completion
+grows strictly with the block's spin; comparing first appearances therefore
+compares the labels by (descending J, ascending M, coarse spins).
+
 Dense operations are limited to ``MAX_DENSE_QUBITS`` = 8 qubits: trees are
 powers of two, and the next size would need a 2^16 x 2^16 transform.
 
@@ -94,18 +102,21 @@ def _postorder_levels(num_qubits: int) -> list[int]:
     return half + half + [num_qubits.bit_length() - 1]
 
 
-def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only id of each row's value, numbered in order of first appearance,
-    and the index of the first row carrying each id (ascending)."""
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One integer per row that sorts as the rows do, lexicographically."""
     low = rows.min(axis=0)
-    # One integer key per row; with no columns, every row gets the key 0.
-    keys = np.broadcast_to(np.ravel_multi_index((rows - low).T, rows.max(axis=0) - low + 1),
+    # With no columns, every row gets the key 0.
+    return np.broadcast_to(np.ravel_multi_index((rows - low).T, rows.max(axis=0) - low + 1),
                            len(rows))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ids = np.argsort(order)[inverse]
-    ids.flags.writeable = False
-    return ids, first[order]
+
+
+def _canonical_keys(rows: np.ndarray) -> np.ndarray:
+    """One integer per label row in table layout (path spins 2j, then 2J and
+    2M) that sorts as the canonical order does: descending J, ascending M,
+    then lexicographic path."""
+    # Stacked column-major, so that the reductions of _row_keys run along
+    # contiguous columns.
+    return _row_keys(np.vstack((-rows[:, -2], rows[:, -1], rows[:, :-2].T)).T)
 
 
 @cache
@@ -144,8 +155,7 @@ def _plan(num_qubits: int):
                                    np.tile(jm, (len(gathers), 1)))))
             entries.append((tj_l, tj_r, gathers))
     stacked = np.concatenate(rows)
-    # Canonical order: descending J, ascending M, then lexicographic path.
-    order = np.lexsort((*stacked[:, -3::-1].T, stacked[:, -1], -stacked[:, -2]))
+    order = np.argsort(_canonical_keys(stacked))
     table = stacked[order]
     table.flags.writeable = False
     position = np.argsort(order)  # canonical position of each stacked row
@@ -193,7 +203,7 @@ class _LevelGroups:
     ``fine_id[k]``; no two states share both ids.
     """
 
-    labels: tuple[LevelLabel, ...]  # canonical first-seen order
+    labels: tuple[LevelLabel, ...]  # canonical order, which is first-seen order
     label_id: np.ndarray
     fine_id: np.ndarray
     num_fine: int
@@ -228,14 +238,16 @@ def _ladder_bins(num_qubits: int) -> np.ndarray:
 def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
     table, _ = _plan(num_qubits)
     node_levels = np.array(_postorder_levels(num_qubits))
-    # coarse: node spins at levels >= level, then 2M; fine: the other node spins
-    coarse = np.flatnonzero(np.append(node_levels >= level, [False, True]))
-    fine = np.flatnonzero(node_levels < level)
-    label_id, first = _first_seen(table[:, coarse])
-    fine_id, fine_first = _first_seen(table[:, fine])
-    labels = tuple(LevelLabel(tuple(_spin_label(t) for t in row[:-1]), row[-1])
-                   for row in table[np.ix_(first, coarse)].tolist())
-    return _LevelGroups(labels, label_id, fine_id, len(fine_first))
+    # coarse: node spins at levels >= level, then 2J and 2M; fine: the other node spins
+    coarse = table[:, np.append(np.flatnonzero(node_levels >= level), [-2, -1])]
+    _, first, label_id = np.unique(_canonical_keys(coarse), return_index=True,
+                                   return_inverse=True)
+    fine_parts, fine_id = np.unique(_row_keys(table[:, np.flatnonzero(node_levels < level)]),
+                                    return_inverse=True)
+    label_id.flags.writeable = fine_id.flags.writeable = False
+    labels = tuple(LevelLabel(tuple(_spin_label(t) for t in row[:-2]), row[-1])
+                   for row in coarse[first].tolist())
+    return _LevelGroups(labels, label_id, fine_id, len(fine_parts))
 
 
 def hierarchic_transform(tree: CouplingTree) -> np.ndarray:

@@ -65,12 +65,21 @@ def _split(signal: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndar
     return low, high
 
 
+def _as_real(values, name: str) -> np.ndarray:
+    """``values`` as a float array.  Complex input is refused, where a float
+    conversion would drop its imaginary part with only a warning."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
     """One Haar split: pairwise sums and differences over sqrt(2).
 
     Energy is conserved: |s|^2 = |s'|^2 + |d'|^2.
     """
-    signal = np.asarray(signal, dtype=float)
+    signal = _as_real(signal, "signal")
     if signal.ndim != 1 or len(signal) < 2 or len(signal) % 2 != 0:
         raise ValueError(f"signal length must be even and >= 2, got shape {signal.shape}")
     return _split(signal, np.empty(len(signal) // 2))
@@ -81,7 +90,7 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
 
     Every returned band is a new array; the input is never written to.
     """
-    signal = np.asarray(signal, dtype=float)
+    signal = _as_real(signal, "signal")
     if signal.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
     n = len(signal)
@@ -106,8 +115,8 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
 
     Returns a new array; the decomposition is never written to.
     """
-    approx = np.asarray(decomposition.approximation, dtype=float)
-    bands = [np.asarray(high, dtype=float) for high in reversed(decomposition.details)]
+    approx = _as_real(decomposition.approximation, "bands")
+    bands = [_as_real(high, "bands") for high in reversed(decomposition.details)]
     for band in (approx, *bands):
         if band.ndim != 1:
             raise ValueError(f"bands must be one-dimensional, got shape {band.shape}")
