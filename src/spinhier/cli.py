@@ -50,17 +50,30 @@ def serialize_matrix(matrix) -> str:
     return _dumps(_payload(matrix))
 
 
+def _complex_pairs(pairs, name: str):
+    """Complex numpy vector of a list of [re, im] number pairs; anything else,
+    bools included, raises ValueError naming ``name``."""
+    import numpy as np
+
+    try:
+        if any(type(x) is bool for pair in pairs for x in pair):
+            raise TypeError
+        return np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a list of [re, im] number pairs") from None
+
+
 def parse_matrix(text: str):
     """Inverse of :func:`serialize_matrix`, as a complex numpy array."""
     import numpy as np
 
     rows = json.loads(text)
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    if not isinstance(rows, list):
+        raise ValueError("matrix must be a list of rows of [re, im] number pairs")
+    return np.array([_complex_pairs(row, "matrix row") for row in rows])
 
 
 def _parse_amplitudes(text: str):
-    import numpy as np
-
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -69,12 +82,7 @@ def _parse_amplitudes(text: str):
         if "amplitudes" not in doc:
             raise ValueError('state object has no "amplitudes" key')
         doc = doc["amplitudes"]
-    try:
-        if any(type(x) is bool for pair in doc for x in pair):
-            raise TypeError
-        return np.array([complex(re, im) for re, im in doc])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("state must be a list of [re, im] number pairs") from None
+    return _complex_pairs(doc, "state")
 
 
 def _spin_value(twice_j: int):
@@ -142,7 +150,7 @@ def _cmd_transform(args) -> None:
     from . import hierarchy
 
     tree = hierarchy.build_coupling_tree(args.qubits)
-    matrix = hierarchy.hierarchic_transform(tree)
+    states = hierarchy.multiplet_basis_states(tree)  # refuses a register above dense size
     amplitudes = _parse_amplitudes(_read_text(args.infile))
     if amplitudes.size != 2 ** args.qubits:
         raise ValueError(
@@ -152,18 +160,13 @@ def _cmd_transform(args) -> None:
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("state amplitudes must be finite")
     # an overflow gives inf or nan, which _payload rejects
+    inverse = args.direction == "inverse"
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.direction == "forward":
-            result = matrix.T @ amplitudes  # the transform is real
-            basis = "multiplet"
-        else:
-            result = matrix @ amplitudes
-            basis = "product"
-    states = hierarchy.multiplet_basis_states(tree)
+        result = hierarchy._apply_transform(amplitudes, args.qubits, inverse)
     doc = {
         "qubits": args.qubits,
         "direction": args.direction,
-        "basis": basis,
+        "basis": "product" if inverse else "multiplet",
         "ordering": CANONICAL_ORDER,
         "amplitudes": _payload(result),
         "states": [

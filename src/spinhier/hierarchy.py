@@ -306,10 +306,12 @@ def _check_state(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
     return state
 
 
-def _hierarchic_amplitudes(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
-    """U^dagger psi, applying the real U to each part of psi so U stays real."""
-    matrix = _transform(tree.num_qubits)
-    return matrix.T @ state.real + 1j * (matrix.T @ state.imag)
+def _apply_transform(vector: np.ndarray, num_qubits: int, inverse: bool = False) -> np.ndarray:
+    """U^T v, the hierarchic amplitudes of v, or with ``inverse`` U v: the
+    real U applied to each part of the complex v, so U is never made complex.
+    The one apply of the transform; callers check the register size."""
+    matrix = _transform(num_qubits) if inverse else _transform(num_qubits).T
+    return matrix @ vector.real + 1j * (matrix @ vector.imag)
 
 
 def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
@@ -321,7 +323,7 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     """
     _check_dense(tree.num_qubits)
     state = _check_state(state, tree)
-    amplitudes = _hierarchic_amplitudes(state, tree)
+    amplitudes = _apply_transform(state, tree.num_qubits)
     weights = np.bincount(_ladder_bins(tree.num_qubits),
                           weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
                           minlength=tree.levels + 1)
@@ -390,5 +392,5 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     groups = _level_groups(tree, level)
     state = _check_state(state, tree)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
-    scattered[groups.fine_id, groups.label_id] = _hierarchic_amplitudes(state, tree)
+    scattered[groups.fine_id, groups.label_id] = _apply_transform(state, tree.num_qubits)
     return scattered.T @ scattered.conj(), list(groups.labels)

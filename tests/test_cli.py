@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinhier import cli, dynamics
+from spinhier import cli, dynamics, hierarchy
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
 from spinhier.gates import gate_fidelity, swap_gate, to_multiplet, cnot_product
 
@@ -91,6 +91,13 @@ def test_serialize_matrix_rejects_non_finite():
         cli.serialize_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("text", ["[[[true,false]]]", "[[1,2]]", "[[[1,2,3]]]", "5"],
+                         ids=["bools", "bare-numbers", "triples", "not-a-list"])
+def test_parse_matrix_refuses_entries_that_are_not_number_pairs(text):
+    with pytest.raises(ValueError, match=r"must be a list of (rows of )?\[re, im\] number pairs"):
+        cli.parse_matrix(text)
+
+
 def test_transform_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(1)
     state = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -112,6 +119,32 @@ def test_transform_round_trip(tmp_path, capsys):
     assert code == 0
     recovered = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
     assert np.max(np.abs(recovered - state)) < 1e-12
+
+
+def test_transform_prints_the_librarys_real_products(tmp_path, capsys):
+    """Both directions print U^T v or U v formed as one real product per part
+    of v, bit for bit: the amplitudes analyze_state and reduce_to_level use."""
+    rng = np.random.default_rng(17)
+    infile = tmp_path / "state.json"
+    for qubits in (1, 2, 4, 8):
+        u = hierarchy.hierarchic_transform(hierarchy.build_coupling_tree(qubits))
+        for _ in range(3):
+            v = rng.standard_normal(2 ** qubits) + 1j * rng.standard_normal(2 ** qubits)
+            infile.write_text(json.dumps([[z.real, z.imag] for z in v]))
+            for direction, matrix in (("forward", u.T), ("inverse", u)):
+                code, out, _ = run_cli(capsys, "transform", "--qubits", str(qubits),
+                                       "--in", str(infile), "--direction", direction)
+                assert code == 0
+                expected = matrix @ v.real + 1j * (matrix @ v.imag)
+                pairs = (np.stack((expected.real, expected.imag), -1) + 0.0).tolist()
+                assert json.loads(out)["amplitudes"] == pairs, (qubits, direction)
+
+
+def test_transform_reports_the_dense_size_before_reading_its_input(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "transform", "--qubits", "16",
+                             "--in", str(tmp_path / "missing.json"))
+    assert code == 1 and out == ""
+    assert err == "error: dense operations support at most 8 qubits (16 requested)\n"
 
 
 def test_analyze_subcommand(tmp_path, capsys):

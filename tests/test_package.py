@@ -1,6 +1,6 @@
 """Package layout: lazy submodules, the numpy-free modules behind the integer
-and scalar subcommands, the names the numerical modules re-export, and no
-unused imports in the package sources."""
+and scalar subcommands, the names the numerical modules re-export, no unused
+imports in the package sources, and Python 3.10 grammar in every source."""
 
 import ast
 import importlib
@@ -90,3 +90,14 @@ def _unused_imports(path):
                          ids=lambda path: path.name)
 def test_package_sources_have_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_sources_parse_with_the_python_3_10_grammar():
+    """requires-python is >= 3.10. A best-effort check of grammar only: the
+    3.10 parser refuses newer syntax, but newer stdlib APIs are not seen."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(path for folder in ("src", "tests", "perfbench")
+                   for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
