@@ -76,8 +76,8 @@ def cg(j1: SpinLabel, twice_m1: int, j2: SpinLabel, twice_m2: int,
     selection rules m1 + m2 = M or |j1 - j2| <= J <= j1 + j2 fail.
     """
     _check_supported(j1.twice_j, j2.twice_j, target.twice_j)
-    _check_twice_m(j1.twice_j, twice_m1)
-    _check_twice_m(j2.twice_j, twice_m2)
+    twice_m1 = _check_twice_m(j1.twice_j, twice_m1)
+    twice_m2 = _check_twice_m(j2.twice_j, twice_m2)
     tj1, tj2 = j1.twice_j, j2.twice_j
     tj, tm = target.twice_j, target.twice_m
     if twice_m1 + twice_m2 != tm:

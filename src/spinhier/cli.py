@@ -70,7 +70,13 @@ def parse_matrix(text: str):
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("matrix must be a list of rows of [re, im] number pairs")
-    return np.array([_complex_pairs(row, "matrix row") for row in rows])
+    rows = [_complex_pairs(row, "matrix row") for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows must have equal length")
+    matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix entries must be finite")
+    return matrix
 
 
 def _parse_amplitudes(text: str):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
-from .register import _as_integer
+from .register import _as_integer, _as_real
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
@@ -43,9 +43,10 @@ class PulseProfile:
             raise ValueError(f"pulse duration must be finite, got {self.duration_ns}")
         if self.duration_ns <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration_ns}")
-        if len(self.samples) < 2:
+        samples = _as_real(self.samples, "samples", one_dimensional=True)
+        if len(samples) < 2:
             raise ValueError("a pulse needs at least 2 samples")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise ValueError("pulse samples must be finite")
 
     @property
@@ -87,7 +88,7 @@ def _midpoint_sum(samples, steps: int) -> float:
     average mu_i = 1/2 + (r_i + r_{i+1}) / (2 steps), and contributes
     n_i ((1 - mu_i) J_i + mu_i J_{i+1}).
     """
-    j = np.asarray(samples, dtype=float)
+    j = _as_real(samples, "samples")
     seg = len(j) - 1
     residue = np.arange(seg + 1) * (steps % seg) % seg
     r = np.where(2 * residue > seg, seg - residue, -residue)

@@ -21,6 +21,7 @@ from .constants import E2_MEV_NM, MU_B_MEV_PER_T
 from .dot_scales import (  # noqa: F401
     DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
 )
+from .register import _as_real
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
 
@@ -40,7 +41,7 @@ def _check_all(ok: np.ndarray, values: np.ndarray, message: str) -> None:
 
 
 def _dimensionless_fields(p: DotParameters, b_fields) -> np.ndarray:
-    tesla = np.asarray(b_fields, dtype=float)
+    tesla = _as_real(b_fields, "b_fields")
     _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
     larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
     return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
@@ -66,7 +67,7 @@ def bessel_i0(x):
     A domain-checked ``np.i0``: a float for a scalar argument, an array for an
     array.  The upper end guards exp(x) against overflow.
     """
-    values = np.asarray(x, dtype=float)
+    values = _as_real(x, "x")
     _check_all((values >= 0.0) & (values <= BESSEL_MAX_ARG), values,
                f"argument must be in [0, {BESSEL_MAX_ARG}]")
     result = np.i0(values)
@@ -89,7 +90,7 @@ def exchange_coupling(b, d: float, c: float):
         raise ValueError(f"half-distance d must be positive and finite, got {d}")
     if not math.isfinite(c):
         raise ValueError(f"Coulomb parameter c must be finite, got {c}")
-    b = np.asarray(b, dtype=float)
+    b = _as_real(b, "b")
     _check_all(b > 0, b, "field parameter b must be positive")
     sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
     _check_all(sinh_arg > 0, sinh_arg, "degenerate geometry: sinh argument must be positive")
@@ -121,7 +122,7 @@ def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[E
     """Exchange coupling across a sequence of field values, in input order."""
     if c is None:
         c = coulomb_parameter(p)
-    b = _dimensionless_fields(p, b_fields)
+    b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
     j = exchange_coupling(b, p.d, c) * p.hbar_omega0
     # tuple.__new__ is what ExchangeResult._make calls, minus a Python frame per point
     return list(map(tuple.__new__, repeat(ExchangeResult), zip(b.tolist(), repeat(c), j.tolist())))

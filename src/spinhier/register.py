@@ -5,6 +5,9 @@ Exact integer arithmetic in plain Python, so it loads without numpy (the
 ``decompose`` and ``ladder`` subcommands need nothing else); ``angular_momentum``
 and ``hierarchy`` re-export every public name.  Angular momenta are stored as
 twice their value (``twice_j``), so half-integer spins are exact integers.
+The two argument contracts of the public API live here too: ``_as_integer``
+checks every integer argument and ``_as_real`` converts every real-array one,
+importing numpy only when it is called.
 """
 
 from __future__ import annotations
@@ -42,6 +45,24 @@ def _as_integer(name: str, value, valid=None, message: str = "", error=ValueErro
         return number
     raise error(message.format(number) if message
                 else f"{name} must be in {valid[0]}..{valid[-1]}, got {number}")
+
+
+def _as_real(values, name: str, one_dimensional: bool = False):
+    """``values`` as a float numpy array, the one conversion of every
+    real-array argument of the public API.
+
+    A complex dtype raises ValueError naming ``name``, where a float
+    conversion would drop the imaginary part with only a warning; with
+    ``one_dimensional``, so does any shape but one axis.
+    """
+    import numpy as np
+
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
+    if one_dimensional and values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    return values.astype(float, copy=False)
 
 
 def _check_twice_j(twice_j) -> int:

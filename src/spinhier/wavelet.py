@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from .register import _as_integer
+from .register import _as_integer, _as_real
 
 _S = 1.0 / sqrt(2.0)
 
@@ -65,15 +65,6 @@ def _split(signal: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndar
     return low, high
 
 
-def _as_real(values, name: str) -> np.ndarray:
-    """``values`` as a float array.  Complex input is refused, where a float
-    conversion would drop its imaginary part with only a warning."""
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got dtype {values.dtype}")
-    return values.astype(float, copy=False)
-
-
 def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
     """One Haar split: pairwise sums and differences over sqrt(2).
 
@@ -90,9 +81,7 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
 
     Every returned band is a new array; the input is never written to.
     """
-    signal = _as_real(signal, "signal")
-    if signal.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {signal.shape}")
+    signal = _as_real(signal, "signal", one_dimensional=True)
     n = len(signal)
     if n < 1 or n & (n - 1) != 0:
         raise ValueError(f"signal length must be a power of two, got {n}")
@@ -115,11 +104,8 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
 
     Returns a new array; the decomposition is never written to.
     """
-    approx = _as_real(decomposition.approximation, "bands")
-    bands = [_as_real(high, "bands") for high in reversed(decomposition.details)]
-    for band in (approx, *bands):
-        if band.ndim != 1:
-            raise ValueError(f"bands must be one-dimensional, got shape {band.shape}")
+    approx, *bands = [_as_real(band, "bands", one_dimensional=True) for band in
+                      (decomposition.approximation, *reversed(decomposition.details))]
     size = len(approx)
     for high in bands:
         if len(high) != size:

@@ -3,6 +3,7 @@ rational Racah reference and the textbook pair-coupling fixture."""
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_labels_accept_every_integer_type_but_bool():
             SpinLabel(bad)
         with pytest.raises(InvalidLabelError, match="twice_m must be an integer"):
             MultipletLabel(2, bad)
+
+
+def test_cg_computes_with_the_checked_magnetic_numbers():
+    # a fixed-width 2m, as given, would wrap in the Racah sum (-a1 of a uint8)
+    target = MultipletLabel(16, 16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cg(SpinLabel(16), np.uint8(16), SpinLabel(16), np.uint8(0), target)
+        mixed = [cg(SpinLabel(8), np.int8(tm), SpinLabel(8), np.int8(-tm), MultipletLabel(8, 0))
+                 for tm in range(-8, 9, 2)]
+    assert caught == []
+    assert got == cg(SpinLabel(16), 16, SpinLabel(16), 0, target) == 0.10908397453862856
+    assert mixed == [cg(SpinLabel(8), tm, SpinLabel(8), -tm, MultipletLabel(8, 0))
+                     for tm in range(-8, 9, 2)]
 
 
 def test_orthogonality_and_completeness():

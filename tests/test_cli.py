@@ -91,10 +91,19 @@ def test_serialize_matrix_rejects_non_finite():
         cli.serialize_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("text", ["[[[true,false]]]", "[[1,2]]", "[[[1,2,3]]]", "5"],
-                         ids=["bools", "bare-numbers", "triples", "not-a-list"])
-def test_parse_matrix_refuses_entries_that_are_not_number_pairs(text):
-    with pytest.raises(ValueError, match=r"must be a list of (rows of )?\[re, im\] number pairs"):
+PAIRS = r"must be a list of (rows of )?\[re, im\] number pairs"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[[[true,false]]]", PAIRS),
+    ("[[1,2]]", PAIRS),
+    ("[[[1,2,3]]]", PAIRS),
+    ("5", PAIRS),
+    ("[[[1e400,0]]]", "^matrix entries must be finite$"),
+    ("[[[1,2]],[[1,2],[3,4]]]", "^matrix rows must have equal length$"),
+], ids=["bools", "bare-numbers", "triples", "not-a-list", "overflow", "ragged"])
+def test_parse_matrix_refuses_entries_that_are_not_number_pairs(text, message):
+    with pytest.raises(ValueError, match=message):
         cli.parse_matrix(text)
 
 

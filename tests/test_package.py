@@ -1,6 +1,7 @@
 """Package layout: lazy submodules, the numpy-free modules behind the integer
 and scalar subcommands, the names the numerical modules re-export, no unused
-imports in the package sources, and Python 3.10 grammar in every source."""
+imports in the package sources, one float conversion of real arrays, and
+Python 3.10 grammar in every source."""
 
 import ast
 import importlib
@@ -90,6 +91,41 @@ def _unused_imports(path):
                          ids=lambda path: path.name)
 def test_package_sources_have_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _float_conversions(tree):
+    """Lines of ``np.asarray``/``np.array`` calls with a ``float`` dtype,
+    by keyword or position, and of ``.astype(float)`` calls in ``tree``."""
+    def is_float(node):
+        return isinstance(node, ast.Name) and node.id == "float"
+
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+        if node.func.attr == "astype":
+            dtypes += node.args[:1]
+        elif node.func.attr in ("asarray", "array"):
+            dtypes += node.args[1:2]
+        else:
+            continue
+        if any(map(is_float, dtypes)):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(Path(spinhier.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_real_arrays_are_converted_only_by_register_as_real(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    helpers = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_as_real"]
+    if path.name == "register.py":
+        # the helper holds the one conversion, which the search finds
+        assert len(helpers) == 1 and len(_float_conversions(helpers[0])) == 1
+        tree.body.remove(helpers[0])
+    assert _float_conversions(tree) == []
 
 
 def test_sources_parse_with_the_python_3_10_grammar():

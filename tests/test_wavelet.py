@@ -1,7 +1,5 @@
 """Haar pyramid: hand values, perfect reconstruction, and energy conservation."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -90,25 +88,6 @@ def test_inverse_rejects_bands_that_are_not_one_dimensional():
                 wv.PyramidDecomposition(np.float64(1.0), ())):
         with pytest.raises(ValueError, match="bands must be one-dimensional"):
             wv.pyramid_inverse(bad)
-
-
-COMPLEX = np.array([1 + 1j, 2, 3, 4])
-
-
-@pytest.mark.parametrize("call", [
-    lambda: wv.haar_step(COMPLEX),
-    lambda: wv.pyramid_forward(COMPLEX, 1),
-    lambda: wv.pyramid_inverse(wv.PyramidDecomposition(COMPLEX[:2], (np.ones(2),))),
-    lambda: wv.pyramid_inverse(wv.PyramidDecomposition(np.ones(2), (COMPLEX[:2],))),
-], ids=["haar_step", "forward", "inverse_approximation", "inverse_detail"])
-def test_complex_input_is_refused_without_a_warning(call):
-    # a float conversion would drop the imaginary part with only a ComplexWarning,
-    # which the suite's warning filter turns into an error that callers never see
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="must be real, got dtype complex128"):
-            call()
-    assert caught == []
 
 
 def test_round_trip_random_signals():
