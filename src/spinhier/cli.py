@@ -238,16 +238,14 @@ def _cmd_jsweep(args) -> None:
     from . import quantum_dot
 
     params = quantum_dot.DotParameters.gaas(d=args.d)
-    for option in ("bmin", "bmax"):
-        if not math.isfinite(getattr(args, option)):
-            raise ValueError(f"--{option} must be finite, got {getattr(args, option)}")
-    if args.bmin > args.bmax:
-        raise ValueError(f"--bmin {args.bmin} exceeds --bmax {args.bmax}")
+    bmin, bmax = register._as_float("--bmin", args.bmin), register._as_float("--bmax", args.bmax)
+    if bmin > bmax:
+        raise ValueError(f"--bmin {bmin} exceeds --bmax {bmax}")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     # an overflow gives inf or nan, which the check below rejects
     with np.errstate(all="ignore"):
-        fields = np.linspace(args.bmin, args.bmax, args.points)
+        fields = np.linspace(bmin, bmax, args.points)
         results = quantum_dot.sweep_exchange(params, fields, c=args.c)
     bad = next((res.j_mev for res in results if not math.isfinite(res.j_mev)), None)
     if bad is not None:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV
+from .register import _as_float
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,8 @@ class DotParameters:
     g: electron g-factor; hbar_omega0: confinement energy (meV); mass_ratio:
     effective mass over the electron mass; epsilon: dielectric constant;
     d: half-distance between the wells in units of the confinement Bohr
-    radius; b_field: magnetic field along z (Tesla).
+    radius; b_field: magnetic field along z (Tesla).  Each field is stored as
+    the finite Python float that ``register._as_float`` makes of it.
     """
 
     g: float
@@ -32,9 +34,7 @@ class DotParameters:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+            object.__setattr__(self, field.name, _as_float(field.name, getattr(self, field.name)))
         if self.hbar_omega0 <= 0:
             raise ValueError("confinement energy must be positive")
         if self.mass_ratio <= 0:

@@ -10,14 +10,13 @@ form per segment: the cost is O(len(samples)), independent of the step count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
-from .register import _as_integer, _as_real
+from .register import _as_float, _as_integer, _as_real
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
@@ -31,7 +30,8 @@ MAX_STEPS = 2 ** 53
 class PulseProfile:
     """Exchange coupling J(t) sampled at uniform times over [0, duration].
 
-    ``samples`` are J values in meV; ``duration_ns`` is the pulse length.
+    ``samples`` are J values in meV, stored as a tuple of floats, so profiles
+    of equal values compare and hash equal; ``duration_ns`` is the pulse length.
     The pulse area is the trapezoid-rule integral of J divided by hbar.
     """
 
@@ -39,8 +39,7 @@ class PulseProfile:
     duration_ns: float
 
     def __post_init__(self):
-        if not math.isfinite(self.duration_ns):
-            raise ValueError(f"pulse duration must be finite, got {self.duration_ns}")
+        object.__setattr__(self, "duration_ns", _as_float("pulse duration", self.duration_ns))
         if self.duration_ns <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration_ns}")
         samples = _as_real(self.samples, "samples", one_dimensional=True)
@@ -48,6 +47,7 @@ class PulseProfile:
             raise ValueError("a pulse needs at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("pulse samples must be finite")
+        object.__setattr__(self, "samples", tuple(samples.tolist()))
 
     @property
     def times(self) -> np.ndarray:
@@ -64,15 +64,12 @@ def heisenberg_hamiltonian(j_mev: float) -> np.ndarray:
     Eigenvalues are J/4 on the triplet and -3J/4 on the singlet, so the
     singlet-triplet splitting equals J.
     """
-    if not np.isfinite(j_mev):
-        raise ValueError(f"exchange coupling must be finite, got {j_mev}")
-    return j_mev * SPIN_DOT
+    return _as_float("exchange coupling", j_mev) * SPIN_DOT
 
 
 def zeeman_hamiltonian(b_tesla: float, g: float) -> np.ndarray:
     """Zeeman term g * mu_B * B * (S_1z + S_2z) for a field along z (meV)."""
-    if not (np.isfinite(b_tesla) and np.isfinite(g)):
-        raise ValueError("field and g-factor must be finite")
+    b_tesla, g = map(_as_float, ("b_tesla", "g"), (b_tesla, g))
     return g * MU_B_MEV_PER_T * b_tesla * TOTAL_SZ
 
 
@@ -113,9 +110,7 @@ def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
     # or an opposite infinity; a non-finite angle is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         total_angle = _midpoint_sum(profile.samples, steps) * dt / HBAR_MEV_NS
-    if not math.isfinite(total_angle):
-        raise ValueError(f"accumulated pulse angle must be finite, got {total_angle}")
-    return exchange_propagator(total_angle)
+    return exchange_propagator(_as_float("accumulated pulse angle", total_angle))
 
 
 def pulse_for_area(area: float, j0_mev: float) -> PulseProfile:
@@ -123,6 +118,7 @@ def pulse_for_area(area: float, j0_mev: float) -> PulseProfile:
 
     Duration is hbar * area / J0; area and J0 must have the same sign.
     """
+    area, j0_mev = _as_float("area", area), _as_float("j0_mev", j0_mev)
     if j0_mev == 0:
         raise ValueError("degenerate pulse: J0 must be nonzero")
     duration = HBAR_MEV_NS * area / j0_mev
@@ -130,4 +126,4 @@ def pulse_for_area(area: float, j0_mev: float) -> PulseProfile:
         raise ValueError(
             f"degenerate pulse: area {area} with J0 {j0_mev} gives duration {duration}"
         )
-    return PulseProfile((float(j0_mev),) * 2, duration)
+    return PulseProfile((j0_mev,) * 2, duration)

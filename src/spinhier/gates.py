@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .register import _as_integer
+from .register import _as_float, _as_integer
+
+
+def _square(name: str, matrix) -> np.ndarray:
+    """``matrix`` as an array if it is a square 2-D matrix; else ValueError naming it."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
+    return matrix
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U^dagger U - I."""
-    u = np.asarray(u)
+    u = _square("u", u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
@@ -47,9 +55,8 @@ def to_multiplet(op: np.ndarray, a: np.ndarray) -> np.ndarray:
     ``a`` is the product-to-multiplet coupling matrix (columns are multiplet
     states in the product basis).  Similarity preserves the spectrum.
     """
-    op = np.asarray(op)
-    a = np.asarray(a)
-    if op.shape != a.shape or op.shape[0] != op.shape[1]:
+    op, a = _square("op", op), _square("a", a)
+    if op.shape != a.shape:
         raise ValueError(f"dimension mismatch: op {op.shape} vs basis {a.shape}")
     return np.linalg.solve(a, op @ a)
 
@@ -58,7 +65,7 @@ def single_spin_z_rotation(which: int, angle: float) -> np.ndarray:
     """exp(i * angle * S_z) on qubit 1 or 2 of a pair (diagonal, 4x4)."""
     which = _as_integer("which", which, (1, 2), "qubit index must be 1 or 2, got {}")
     sz = S1Z if which == 1 else S2Z
-    return np.diag(np.exp(1j * angle * np.diag(sz)))
+    return np.diag(np.exp(1j * _as_float("angle", angle) * np.diag(sz)))
 
 
 def swap_gate() -> np.ndarray:
@@ -77,6 +84,7 @@ def exchange_propagator(angle: float) -> np.ndarray:
     S1.S2 is 1/4 on the triplet and -3/4 on the singlet, so the exponential
     is assembled from the two projectors in closed form.
     """
+    angle = _as_float("angle", angle)
     triplet = np.eye(4) - SINGLET_PROJECTOR
     return (np.exp(-0.25j * angle) * triplet
             + np.exp(0.75j * angle) * SINGLET_PROJECTOR)
@@ -116,8 +124,7 @@ def conditional_phase_flip() -> np.ndarray:
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|trace(U^dagger V)| / dim; equals 1 iff U and V agree up to a global phase."""
-    u = np.asarray(u)
-    v = np.asarray(v)
+    u, v = _square("u", u), _square("v", v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])

@@ -21,7 +21,7 @@ from .constants import E2_MEV_NM, MU_B_MEV_PER_T
 from .dot_scales import (  # noqa: F401
     DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
 )
-from .register import _as_real
+from .register import _as_float, _as_real
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
 
@@ -86,10 +86,9 @@ def exchange_coupling(b, d: float, c: float):
     on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range,
     and the scaled evaluation below keeps every exponential from overflowing.
     """
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"half-distance d must be positive and finite, got {d}")
-    if not math.isfinite(c):
-        raise ValueError(f"Coulomb parameter c must be finite, got {c}")
+    d, c = _as_float("d", d), _as_float("c", c)
+    if d <= 0:
+        raise ValueError(f"half-distance d must be positive, got {d}")
     b = _as_real(b, "b")
     _check_all(b > 0, b, "field parameter b must be positive")
     sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
@@ -120,8 +119,7 @@ def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResul
 
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
     """Exchange coupling across a sequence of field values, in input order."""
-    if c is None:
-        c = coulomb_parameter(p)
+    c = coulomb_parameter(p) if c is None else _as_float("c", c)
     b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
     j = exchange_coupling(b, p.d, c) * p.hbar_omega0
     # tuple.__new__ is what ExchangeResult._make calls, minus a Python frame per point
@@ -135,6 +133,8 @@ def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,
     V = (m omega0^2 / 2) [ (x^2 - a^2)^2 / (4 a^2) + y^2 ] with well minima at
     (+-a, 0); the barrier height at the origin is (hbar omega0 / 8) d^2.
     """
+    x_nm, y_nm, e_bias_v_per_nm = map(_as_float, ("x_nm", "y_nm", "e_bias_v_per_nm"),
+                                      (x_nm, y_nm, e_bias_v_per_nm))
     a = p.d * bohr_radius(p)
     stiffness = p.hbar_omega0 / bohr_radius(p) ** 2  # m omega0^2 in meV / nm^2
     well = 0.5 * stiffness * ((x_nm ** 2 - a ** 2) ** 2 / (4.0 * a ** 2) + y_nm ** 2)

@@ -5,13 +5,16 @@ Exact integer arithmetic in plain Python, so it loads without numpy (the
 ``decompose`` and ``ladder`` subcommands need nothing else); ``angular_momentum``
 and ``hierarchy`` re-export every public name.  Angular momenta are stored as
 twice their value (``twice_j``), so half-integer spins are exact integers.
-The two argument contracts of the public API live here too: ``_as_integer``
-checks every integer argument and ``_as_real`` converts every real-array one,
-importing numpy only when it is called.
+The three argument contracts of the public API live here too: ``_as_integer``
+checks every integer argument, ``_as_float`` every real scalar one, and
+``_as_real`` converts every real-array one, importing numpy only when it is
+called.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cache
@@ -45,6 +48,25 @@ def _as_integer(name: str, value, valid=None, message: str = "", error=ValueErro
         return number
     raise error(message.format(number) if message
                 else f"{name} must be in {valid[0]}..{valid[-1]}, got {number}")
+
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float if it is a finite real number of any type
+    (numpy's too) but bool.
+
+    The one check of every real scalar argument of the public API.  Other
+    types, complex, str and None among them, raise ValueError naming ``name``;
+    so does a value that is not finite, or an int too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _as_real(values, name: str, one_dimensional: bool = False):

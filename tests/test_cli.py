@@ -359,6 +359,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "scale estimates fall outside the float range"),
     (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[[true,false],[false,false]]"},
      "state must be a list of [re, im] number pairs"),
+    (["pulse", "--j0", "nan", "--area", "pi"], {}, "j0_mev must be finite"),
+    (["pulse", "--j0", "inf", "--area", "pi"], {}, "j0_mev must be finite"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -368,7 +370,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "jsweep-points-negative", "jsweep-d-underflow",
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
-        "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes"])
+        "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes",
+        "pulse-j0-nan", "pulse-j0-inf"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

@@ -1,5 +1,7 @@
 """Gate constants, multiplet-basis conversion, and the exchange XOR sequence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,28 @@ def test_to_multiplet_preserves_spectrum_random():
 
 def test_to_multiplet_dimension_mismatch():
     with pytest.raises(ValueError):
+        gates.to_multiplet(np.eye(2), PAIR_MATRIX)
+
+
+@pytest.mark.parametrize("call,name,shape", [
+    (lambda: gates.unitarity_defect(np.ones(4)), "u", (4,)),
+    (lambda: gates.unitarity_defect(np.ones((2, 3))), "u", (2, 3)),
+    (lambda: gates.gate_fidelity(np.ones((2, 3)), np.ones((2, 3))), "u", (2, 3)),
+    (lambda: gates.gate_fidelity(np.eye(4), np.ones((4, 4, 1))), "v", (4, 4, 1)),
+    (lambda: gates.to_multiplet(np.ones(4), np.ones(4)), "op", (4,)),
+    (lambda: gates.to_multiplet(np.eye(4), np.ones((4, 2))), "a", (4, 2)),
+], ids=["defect-vector", "defect-2x3", "fidelity-2x3", "fidelity-3d", "multiplet-vector",
+        "multiplet-basis-4x2"])
+def test_gate_functions_refuse_all_but_square_matrices(call, name, shape):
+    # before the check: a fidelity of 3.0 for two 2x3 arrays, a defect of 4.0
+    # for a vector, and an IndexError from to_multiplet on two vectors
+    with pytest.raises(ValueError, match=f"^{name} must be a square matrix, got shape "
+                                         f"{re.escape(str(shape))}$"):
+        call()
+
+
+def test_to_multiplet_keeps_the_dimension_mismatch_message():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: op \(2, 2\) vs basis \(4, 4\)$"):
         gates.to_multiplet(np.eye(2), PAIR_MATRIX)
 
 
