@@ -98,22 +98,19 @@ def _spin_value(twice_j: int):
 def _parse_area(text: str) -> float:
     """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
-    if "pi" in cleaned:
-        head, _, tail = cleaned.partition("pi")
-        value = math.pi
-        if head:
-            value *= float(head + "1" if head in ("+", "-") else head)
-        if tail:
-            if not tail.startswith("/"):
-                raise ValueError(f"cannot parse area {text!r}")
-            divisor = float(tail[1:])
-            if divisor == 0.0:
-                raise ValueError(f"area {text!r} divides by zero")
-            value /= divisor
-    else:
-        value = float(cleaned)
-    if not math.isfinite(value):
-        raise ValueError(f"area must be finite, got {text!r}")
+    if "pi" not in cleaned:
+        return float(cleaned)
+    head, _, tail = cleaned.partition("pi")
+    value = math.pi
+    if head:
+        value *= float(head + "1" if head in ("+", "-") else head)
+    if tail:
+        if not tail.startswith("/"):
+            raise ValueError(f"cannot parse area {text!r}")
+        divisor = float(tail[1:])
+        if divisor == 0.0:
+            raise ValueError(f"area {text!r} divides by zero")
+        value /= divisor
     return value
 
 
@@ -157,11 +154,7 @@ def _cmd_transform(args) -> None:
 
     tree = hierarchy.build_coupling_tree(args.qubits)
     states = hierarchy.multiplet_basis_states(tree)  # refuses a register above dense size
-    amplitudes = _parse_amplitudes(_read_text(args.infile))
-    if amplitudes.size != 2 ** args.qubits:
-        raise ValueError(
-            f"state has {amplitudes.size} amplitudes, expected {2 ** args.qubits}"
-        )
+    amplitudes = hierarchy._check_state(_parse_amplitudes(_read_text(args.infile)), tree)
     # A linear map: any finite vector is accepted, normalized or not.
     if not np.all(np.isfinite(amplitudes)):
         raise ValueError("state amplitudes must be finite")
@@ -266,12 +259,7 @@ def _cmd_haar(args) -> None:
         raise ValueError(f"input values must be finite, got {bad}")
     if args.inverse:
         n = len(values)
-        if n == 0 or n & (n - 1):
-            raise ValueError(f"coefficient count must be a power of two, got {n}")
-        max_levels = n.bit_length() - 1
-        if not 0 <= args.levels <= max_levels:
-            raise ValueError(f"levels must be in 0..{max_levels} for length {n}")
-        offsets = [n >> level for level in range(args.levels, 0, -1)]
+        offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
         approx, *details = np.split(np.array(values), offsets)  # coarsest detail first
         decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
         # an overflow gives inf or nan, which the check below rejects

@@ -10,7 +10,7 @@ form per segment: the cost is O(len(samples)), independent of the step count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,21 +32,27 @@ class PulseProfile:
 
     ``samples`` are J values in meV, stored as a tuple of floats, so profiles
     of equal values compare and hash equal; ``duration_ns`` is the pulse length.
-    The pulse area is the trapezoid-rule integral of J divided by hbar.
+    The pulse area is the trapezoid-rule integral of J divided by hbar.  The
+    float array checked at construction is kept too, as a private read-only
+    copy outside comparison, hashing and repr, so no later call converts the
+    samples again.
     """
 
     samples: tuple[float, ...]
     duration_ns: float
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "duration_ns", _as_float("pulse duration", self.duration_ns))
         if self.duration_ns <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration_ns}")
-        samples = _as_real(self.samples, "samples", one_dimensional=True)
+        samples = _as_real(self.samples, "samples", one_dimensional=True).copy()
         if len(samples) < 2:
             raise ValueError("a pulse needs at least 2 samples")
         if not np.all(np.isfinite(samples)):
             raise ValueError("pulse samples must be finite")
+        samples.flags.writeable = False
+        object.__setattr__(self, "_array", samples)
         object.__setattr__(self, "samples", tuple(samples.tolist()))
 
     @property
@@ -55,7 +61,7 @@ class PulseProfile:
 
     def area(self) -> float:
         """Dimensionless pulse area: trapezoid integral of J over hbar."""
-        return float(np.trapezoid(self.samples, self.times) / HBAR_MEV_NS)
+        return float(np.trapezoid(self._array, self.times) / HBAR_MEV_NS)
 
 
 def heisenberg_hamiltonian(j_mev: float) -> np.ndarray:
@@ -73,11 +79,12 @@ def zeeman_hamiltonian(b_tesla: float, g: float) -> np.ndarray:
     return g * MU_B_MEV_PER_T * b_tesla * TOTAL_SZ
 
 
-def _midpoint_sum(samples, steps: int) -> float:
-    """Sum of the linearly interpolated J over the ``steps`` midpoints, in O(len(samples)).
+def _midpoint_sum(j: np.ndarray, steps: int) -> float:
+    """Sum of the linearly interpolated samples ``j`` over the ``steps``
+    midpoints, in O(len(j)).
 
     Midpoint k sits at sample position s_k = (2k + 1) seg / (2 steps), with
-    seg = len(samples) - 1.  Segment i holds the midpoints from a_i, the first
+    seg = len(j) - 1.  Segment i holds the midpoints from a_i, the first
     at or past sample i, to a_{i+1}; r_i = seg a_i - steps i is the residue
     of -steps i mod seg taken in [-seg/2, seg/2), so only integers below seg^2
     are formed, whatever ``steps``.  The segment then holds
@@ -85,7 +92,6 @@ def _midpoint_sum(samples, steps: int) -> float:
     average mu_i = 1/2 + (r_i + r_{i+1}) / (2 steps), and contributes
     n_i ((1 - mu_i) J_i + mu_i J_{i+1}).
     """
-    j = _as_real(samples, "samples")
     seg = len(j) - 1
     residue = np.arange(seg + 1) * (steps % seg) % seg
     r = np.where(2 * residue > seg, seg - residue, -residue)
@@ -109,7 +115,7 @@ def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
     # The sum can overflow (J near the float maximum) and then meet a zero dt
     # or an opposite infinity; a non-finite angle is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        total_angle = _midpoint_sum(profile.samples, steps) * dt / HBAR_MEV_NS
+        total_angle = _midpoint_sum(profile._array, steps) * dt / HBAR_MEV_NS
     return exchange_propagator(_as_float("accumulated pulse angle", total_angle))
 
 

@@ -291,12 +291,25 @@ def detail_projector(tree: CouplingTree, level: int) -> np.ndarray:
     return approximation_projector(tree, level - 1) - approximation_projector(tree, level)
 
 
-def _check_state(state: np.ndarray, tree: CouplingTree) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).ravel()
+def _check_state(state, tree: CouplingTree) -> np.ndarray:
+    """``state`` as a complex vector: one axis of 2^n numbers (any numeric
+    dtype) for the tree's n qubits.  The one check of a register state; its
+    values, finite or not, are not looked at."""
+    state = np.asarray(state)
+    if state.dtype.kind not in "biufc":
+        raise ValueError(f"state must be numeric, got dtype {state.dtype}")
+    if state.ndim != 1:
+        raise ValueError(f"state must be one-dimensional, got shape {state.shape}")
     if state.size != 2 ** tree.num_qubits:
         raise ValueError(
             f"state has {state.size} amplitudes, tree expects {2 ** tree.num_qubits}"
         )
+    return state.astype(complex, copy=False)
+
+
+def _check_unit_state(state, tree: CouplingTree) -> np.ndarray:
+    """:func:`_check_state`, and the norm must be 1 within ``NORM_TOLERANCE``."""
+    state = _check_state(state, tree)
     # np.linalg.norm's sum of squares, through vdot, which does not warn on
     # overflow: an overflowing norm is inf and fails below
     norm = np.sqrt(np.vdot(state.real, state.real) + np.vdot(state.imag, state.imag))
@@ -322,7 +335,7 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     decomposition).
     """
     _check_dense(tree.num_qubits)
-    state = _check_state(state, tree)
+    state = _check_unit_state(state, tree)
     amplitudes = _apply_transform(state, tree.num_qubits)
     weights = np.bincount(_ladder_bins(tree.num_qubits),
                           weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
@@ -390,7 +403,7 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     so rho = A^T A^*.
     """
     groups = _level_groups(tree, level)
-    state = _check_state(state, tree)
+    state = _check_unit_state(state, tree)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
     scattered[groups.fine_id, groups.label_id] = _apply_transform(state, tree.num_qubits)
     return scattered.T @ scattered.conj(), list(groups.labels)

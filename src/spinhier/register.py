@@ -73,14 +73,18 @@ def _as_real(values, name: str, one_dimensional: bool = False):
     """``values`` as a float numpy array, the one conversion of every
     real-array argument of the public API.
 
-    A complex dtype raises ValueError naming ``name``, where a float
-    conversion would drop the imaginary part with only a warning; with
-    ``one_dimensional``, so does any shape but one axis.
+    Only bool, integer and float dtypes convert, and object arrays of real
+    numbers (Python ints too large for a fixed-width dtype); any other dtype,
+    complex, text, bytes, dates and None among them, raises ValueError naming
+    ``name``, where a float conversion would drop an imaginary part with only
+    a warning or read text as numbers.  With ``one_dimensional``, so does any
+    shape but one axis.
     """
     import numpy as np
 
     values = np.asarray(values)
-    if np.iscomplexobj(values):
+    if values.dtype.kind not in "biuf" and not (
+            values.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in values.flat)):
         raise ValueError(f"{name} must be real, got dtype {values.dtype}")
     if one_dimensional and values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")

@@ -70,10 +70,20 @@ def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
 
     Energy is conserved: |s|^2 = |s'|^2 + |d'|^2.
     """
-    signal = _as_real(signal, "signal")
-    if signal.ndim != 1 or len(signal) < 2 or len(signal) % 2 != 0:
+    signal = _as_real(signal, "signal", one_dimensional=True)
+    if len(signal) < 2 or len(signal) % 2 != 0:
         raise ValueError(f"signal length must be even and >= 2, got shape {signal.shape}")
     return _split(signal, np.empty(len(signal) // 2))
+
+
+def _check_levels(n: int, levels) -> int:
+    """``levels`` as an int, checked against a signal of length ``n``: the
+    length must be a power of two and the depth at most its log2."""
+    if n < 1 or n & (n - 1) != 0:
+        raise ValueError(f"signal length must be a power of two, got {n}")
+    max_levels = n.bit_length() - 1
+    return _as_integer("levels", levels, range(max_levels + 1),
+                       f"levels must be in 0..{max_levels} for length {n}")
 
 
 def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
@@ -83,11 +93,7 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     """
     signal = _as_real(signal, "signal", one_dimensional=True)
     n = len(signal)
-    if n < 1 or n & (n - 1) != 0:
-        raise ValueError(f"signal length must be a power of two, got {n}")
-    max_levels = n.bit_length() - 1
-    levels = _as_integer("levels", levels, range(max_levels + 1),
-                         f"levels must be in 0..{max_levels} for length {n}")
+    levels = _check_levels(n, levels)
     if levels == 0:
         return PyramidDecomposition(approximation=signal.copy(), details=())
     scratch = np.empty(n // 2)

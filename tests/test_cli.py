@@ -361,6 +361,10 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "state must be a list of [re, im] number pairs"),
     (["pulse", "--j0", "nan", "--area", "pi"], {}, "j0_mev must be finite"),
     (["pulse", "--j0", "inf", "--area", "pi"], {}, "j0_mev must be finite"),
+    (["transform", "--qubits", "2", "--in", "{state}"], {"state": "[[1,0],[0,0],[0,0]]"},
+     "state has 3 amplitudes, tree expects 4"),
+    (["analyze", "--qubits", "2", "--in", "{state}"], {"state": "[[1,0],[0,0],[0,0]]"},
+     "state has 3 amplitudes, tree expects 4"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -371,7 +375,7 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
         "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes",
-        "pulse-j0-nan", "pulse-j0-inf"])
+        "pulse-j0-nan", "pulse-j0-inf", "transform-size", "analyze-size"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

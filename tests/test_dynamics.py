@@ -1,5 +1,6 @@
 """Exchange Hamiltonians, Zeeman splitting, and pulse evolution."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,27 @@ def test_pulse_profile_validation():
     for duration in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="pulse duration must be finite"):
             dynamics.PulseProfile((1.0, 1.0), duration)
+
+
+def test_pulse_profiles_of_equal_samples_evolve_alike_whatever_they_were_built_from():
+    values = np.sin(np.linspace(0.0, 3.0, 4097)) + 0.5
+    source = values.copy()
+    profiles = [dynamics.PulseProfile(samples, 2.0)
+                for samples in (source, values.tolist(), tuple(values.tolist()))]
+    unitary, area = dynamics.evolve_pulse(profiles[0], 1024), profiles[0].area()
+    for profile in profiles[1:]:
+        assert dynamics.evolve_pulse(profile, 1024).tobytes() == unitary.tobytes()
+        assert profile.area() == area
+    # the profile keeps its own copy of the caller's array
+    source[:] = 0.0
+    assert profiles[0].samples == tuple(values.tolist())
+    assert dynamics.evolve_pulse(profiles[0], 1024).tobytes() == unitary.tobytes()
+    assert profiles[0].area() == area
+    triangle = dynamics.PulseProfile((0.0, 1.0, 0.25), 2.0)
+    replaced = dataclasses.replace(profiles[0], samples=[0.0, 1.0, 0.25])
+    assert replaced == triangle and repr(replaced) == repr(triangle)
+    assert dynamics.evolve_pulse(replaced, 7).tobytes() == \
+        dynamics.evolve_pulse(triangle, 7).tobytes()
 
 
 def test_pulse_area_trapezoid():

@@ -1,6 +1,7 @@
 """Coupling trees, the hierarchic transform, and the multiresolution ladder."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,22 @@ def test_analyze_rejects_bad_states():
         hi.analyze_state(np.array([1.0, 1.0, 0.0, 0.0]), tree)  # not normalized
     with pytest.raises(ValueError):
         hi.analyze_state(np.array([np.nan, 0.0, 0.0, 0.0]), tree)  # norm is NaN
+
+
+def test_a_state_must_be_one_numeric_axis():
+    # a pure 4-qubit density matrix has 2^8 entries and Frobenius norm 1, and
+    # the text "0.5" would convert to a number
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    psi /= np.linalg.norm(psi)
+    cases = [(np.outer(psi, psi.conj()), 8, "state must be one-dimensional, got shape (16, 16)"),
+             (np.array(["0.5"] * 4), 2, "state must be numeric, got dtype <U3")]
+    for state, num_qubits, message in cases:
+        tree = hi.build_coupling_tree(num_qubits)
+        for call in (lambda: hi.analyze_state(state, tree),
+                     lambda: hi.reduce_to_level(state, tree, 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 def test_basis_change_consistency():

@@ -1,7 +1,8 @@
 """The real-number contracts of the public API.  Every real-array argument
-goes through one conversion, which refuses a complex dtype (a float conversion
-would drop the imaginary part with only a ComplexWarning) and, where the
-argument is a sequence, any shape but one axis.  Every real scalar argument
+goes through one conversion, which refuses every dtype but bool, integer and
+float, and object arrays of anything but real numbers (a float conversion would
+drop an imaginary part with only a ComplexWarning, and read text as numbers)
+and, where the argument is a sequence, any shape but one axis.  Every real scalar argument
 goes through one check, which refuses anything but a finite real number of
 any type but bool and hands on a Python float.  Each fault raises ValueError
 naming the argument and warns nothing; valid input converts as float() or a
@@ -10,6 +11,7 @@ float array would."""
 import argparse
 import contextlib
 import dataclasses
+import datetime
 import io
 import math
 import re
@@ -45,10 +47,22 @@ FLAT = "one-dimensional, got shape "
     (lambda: qd.sweep_exchange(GAAS, [[0.0, 1.0], [2.0, 3.0]]), "b_fields", FLAT + "(2, 2)"),
     (lambda: dynamics.PulseProfile(np.ones((2, 2)), 1.0), "samples", FLAT + "(2, 2)"),
     (lambda: dynamics.PulseProfile(1.0, 1.0), "samples", FLAT + "()"),
+    (lambda: wv.haar_step([[1.0, 2.0], [3.0, 4.0]]), "signal", FLAT + "(2, 2)"),
+    (lambda: qd.exchange_coupling("1.2", 0.7, 1.0), "b", "real, got dtype <U3"),
+    (lambda: qd.sweep_exchange(GAAS, ["1.0"]), "b_fields", "real, got dtype <U3"),
+    (lambda: qd.bessel_i0(b"1"), "x", "real, got dtype |S1"),
+    (lambda: qd.sweep_exchange(GAAS, np.array(["2020-01-01"], dtype="datetime64[D]")),
+     "b_fields", "real, got dtype datetime64[D]"),
+    (lambda: qd.sweep_exchange(GAAS, [datetime.datetime(2020, 1, 1)]), "b_fields",
+     "real, got dtype object"),
+    (lambda: wv.pyramid_forward([None, 1.0, 2.0, 3.0], 1), "signal", "real, got dtype object"),
+    (lambda: dynamics.PulseProfile([2 ** 70, 1j], 1.0), "samples", "real, got dtype object"),
 ], ids=["haar_step", "forward", "inverse_approximation", "inverse_detail",
         "bessel_i0", "bessel_i0-scalar", "exchange_coupling", "sweep_exchange",
         "sweep_exchange-list", "PulseProfile", "sweep_exchange-scalar", "sweep_exchange-2d",
-        "PulseProfile-2d", "PulseProfile-scalar"])
+        "PulseProfile-2d", "PulseProfile-scalar", "haar_step-2d", "exchange_coupling-text",
+        "sweep_exchange-text", "bessel_i0-bytes", "sweep_exchange-datetime64",
+        "sweep_exchange-datetime", "forward-None", "PulseProfile-big-int-and-complex"])
 def test_complex_or_misshapen_input_is_refused_without_a_warning(call, name, fault):
     # the suite turns warnings into errors, which callers outside it never see
     with warnings.catch_warnings(record=True) as caught:
