@@ -97,6 +97,13 @@ def multiplet_content(j1: SpinLabel, j2: SpinLabel) -> list[SpinLabel]:
     return [SpinLabel(tj) for tj in range(hi, lo - 1, -2)]
 
 
+def _pair_columns(tj1: int, tj2: int) -> list[tuple[int, int]]:
+    """(2J, 2M) of each column of the pair block of spins 2j1 and 2j2, in
+    column order: ascending J, then ascending M."""
+    return [(tj, tm) for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            for tm in range(-tj, tj + 1, 2)]
+
+
 def couple_pair_matrix(j1: SpinLabel, j2: SpinLabel) -> np.ndarray:
     """Real orthogonal change of basis between a product pair and its multiplets.
 
@@ -111,11 +118,8 @@ def couple_pair_matrix(j1: SpinLabel, j2: SpinLabel) -> np.ndarray:
     _check_supported(tj1, tj2)
     dim = (tj1 + 1) * (tj2 + 1)
     a = np.zeros((dim, dim))
-    col = 0
-    for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        for tm in range(-tj, tj + 1, 2):
-            for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2):
-                row = (tm1 + tj1) // 2 * (tj2 + 1) + (tm - tm1 + tj2) // 2
-                a[row, col] = _cg_value(tj1, tm1, tj2, tm - tm1, tj, tm)
-            col += 1
+    for col, (tj, tm) in enumerate(_pair_columns(tj1, tj2)):
+        for tm1 in range(max(-tj1, tm - tj2), min(tj1, tm + tj2) + 1, 2):
+            row = (tm1 + tj1) // 2 * (tj2 + 1) + (tm - tm1 + tj2) // 2
+            a[row, col] = _cg_value(tj1, tm1, tj2, tm - tm1, tj, tm)
     return a

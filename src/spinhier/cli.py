@@ -190,17 +190,17 @@ def _cmd_analyze(args) -> None:
     print(_dumps(doc))
 
 
+# The gate constructors of ``gates`` by ``gate --name``: names, not functions,
+# so that importing this module loads no numpy.
+_GATES = {"cnot": "cnot_product", "swap": "swap_gate", "sqrt-swap": "sqrt_swap_gate",
+          "xor": "xor_sequence"}
+
+
 def _cmd_gate(args) -> None:
     from . import gates
     from .angular_momentum import SpinLabel, couple_pair_matrix
 
-    table = {
-        "cnot": gates.cnot_product,
-        "swap": gates.swap_gate,
-        "sqrt-swap": gates.sqrt_swap_gate,
-        "xor": gates.xor_sequence,
-    }
-    matrix = table[args.name]()
+    matrix = getattr(gates, _GATES[args.name])()
     if args.basis == "multiplet":
         pair_basis = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
         matrix = gates.to_multiplet(matrix, pair_basis)
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gate", help="two-qubit gate constant as a JSON matrix")
-    p.add_argument("--name", choices=["cnot", "swap", "sqrt-swap", "xor"], required=True)
+    p.add_argument("--name", choices=list(_GATES), required=True)
     p.add_argument("--basis", choices=["product", "multiplet"], default="product")
     p.set_defaults(func=_cmd_gate)
 

@@ -15,6 +15,7 @@ from spinhier.angular_momentum import (
     InvalidLabelError,
     MultipletLabel,
     SpinLabel,
+    _pair_columns,
     cg,
     couple_pair_matrix,
     multiplet_content,
@@ -131,6 +132,7 @@ def test_cg_invalid_labels():
 def test_labels_take_any_size_and_only_the_numerics_cap_twice_j():
     assert SpinLabel(18).multiplicity == 19
     assert MultipletLabel(4096, 0).dimension == 4097
+    assert (SpinLabel(3).j, MultipletLabel(3, -1).j, MultipletLabel(3, -1).m) == (1.5, 1.5, -0.5)
     big = SpinLabel(18)
     calls = [
         lambda: cg(HALF, 1, big, 18, MultipletLabel(19, 19)),
@@ -246,6 +248,7 @@ def test_couple_pair_matrix_entries_are_cg():
                     for tm in s.twice_m_values()]
             expected = np.array([[cg(j1, m1, j2, m2, t) for t in cols] for m1, m2 in rows])
             assert couple_pair_matrix(j1, j2).tobytes() == expected.tobytes()
+            assert _pair_columns(tj1, tj2) == [(t.twice_j, t.twice_m) for t in cols]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ def test_serialize_matrix_round_trip():
 def test_serialize_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         cli.serialize_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^expected a 2-d matrix, got shape \(2,\)$"):
+        cli.serialize_matrix([1.0, 2.0])
 
 
 PAIRS = r"must be a list of (rows of )?\[re, im\] number pairs"

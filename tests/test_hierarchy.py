@@ -8,7 +8,7 @@ import pytest
 
 from spinhier import hierarchy as hi
 from spinhier import register
-from spinhier.angular_momentum import MultipletLabel, SpinLabel, cg
+from spinhier.angular_momentum import MultipletLabel, SpinLabel, _pair_columns, cg
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -294,7 +294,7 @@ def test_levels_zero_and_one_share_one_label_group():
 
 @pytest.mark.parametrize("num_qubits,types", [(1, 0), (2, 1), (4, 4), (8, 9), (16, 25)])
 def test_plan_holds_one_entry_per_pair_of_child_spins(num_qubits, types):
-    entries = hi._plan(num_qubits)[1]
+    table, entries = hi._plan(num_qubits)
     child_spins = [tj for tj, _ in register._content(num_qubits // 2)] if num_qubits > 1 else []
     assert [(tj_l, tj_r) for tj_l, tj_r, _, _ in entries] == [
         (tj_l, tj_r) for tj_l in child_spins for tj_r in child_spins]
@@ -307,6 +307,10 @@ def test_plan_holds_one_entry_per_pair_of_child_spins(num_qubits, types):
         for part in (2, 3):
             joined = np.concatenate([entry[part].ravel() for entry in entries])
             assert np.array_equal(np.sort(joined), np.arange(2 ** num_qubits))
+    # column c of every pair block lands where the table holds its (2J, 2M)
+    for tj_l, tj_r, _, scatters in entries:
+        for c, jm in enumerate(_pair_columns(tj_l, tj_r)):
+            assert (table[scatters[:, c], -2:] == jm).all()
 
 
 def test_basis_states_are_consistent():
@@ -373,6 +377,7 @@ def test_ladder_dimensions_three_levels():
 def test_ladder_dimensions_telescoping():
     for levels in range(0, 13):
         dims = hi.ladder_dimensions(levels)
+        assert dims.levels == levels
         assert dims.v[0] == 2 ** (2 ** levels)
         for j in range(1, levels + 1):
             assert dims.v[j - 1] == dims.v[j] + dims.w[j - 1]
