@@ -9,6 +9,8 @@ entrywise.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .register import _as_float, _as_integer
@@ -37,6 +39,7 @@ S2Z = np.kron(np.eye(2), _SZ)
 # Projector onto the two-spin singlet (up-down minus down-up) / sqrt(2).
 _SINGLET = np.array([0.0, -1.0, 1.0, 0.0]) / np.sqrt(2.0)
 SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
+_TRIPLET_PROJECTOR = np.eye(4) - SINGLET_PROJECTOR
 
 
 def cnot_product() -> np.ndarray:
@@ -85,8 +88,7 @@ def exchange_propagator(angle: float) -> np.ndarray:
     is assembled from the two projectors in closed form.
     """
     angle = _as_float("angle", angle)
-    triplet = np.eye(4) - SINGLET_PROJECTOR
-    return (np.exp(-0.25j * angle) * triplet
+    return (np.exp(-0.25j * angle) * _TRIPLET_PROJECTOR
             + np.exp(0.75j * angle) * SINGLET_PROJECTOR)
 
 
@@ -105,8 +107,14 @@ def xor_sequence() -> np.ndarray:
     Evaluates e^{i pi/2 S_1z} e^{-i pi/2 S_2z} sqrt_swap e^{i pi S_1z}
     sqrt_swap, rightmost factor first.  The product is a conditional phase
     flip: diagonal, -1 on up-up relative to the rest, up to a global phase.
-    A Hadamard on the target qubit converts it to CNOT.
+    A Hadamard on the target qubit converts it to CNOT.  Each call returns a
+    new array; the product is formed once, on the first call.
     """
+    return _xor_product().copy()
+
+
+@cache
+def _xor_product() -> np.ndarray:
     half_swap = sqrt_swap_gate()
     return (
         single_spin_z_rotation(1, np.pi / 2)
@@ -123,8 +131,11 @@ def conditional_phase_flip() -> np.ndarray:
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """|trace(U^dagger V)| / dim; equals 1 iff U and V agree up to a global phase."""
+    """|trace(U^dagger V)| / dim; equals 1 iff U and V agree up to a global phase.
+
+    The trace is ``np.vdot(u, v)``, the sum of conj(U) * V over all entries.
+    """
     u, v = _square("u", u), _square("v", v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    return float(abs(np.vdot(u, v)) / u.shape[0])

@@ -40,8 +40,8 @@ def _check_all(ok: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValueError(f"{message}, got {values[~ok].flat[0]}")
 
 
-def _dimensionless_fields(p: DotParameters, b_fields) -> np.ndarray:
-    tesla = _as_real(b_fields, "b_fields")
+def _dimensionless_fields(p: DotParameters, tesla: np.ndarray) -> np.ndarray:
+    """b at each field of ``tesla``, a float array its caller has converted."""
     _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
     larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
     return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
@@ -53,7 +53,7 @@ def dimensionless_field(p: DotParameters) -> float:
     hbar * omega_L equals mu_B * B / mass_ratio; b = 1 at zero field and
     increases strictly with B.
     """
-    return float(_dimensionless_fields(p, p.b_field))
+    return float(_dimensionless_fields(p, np.asarray(p.b_field)))
 
 
 def coulomb_parameter(p: DotParameters) -> float:
@@ -105,8 +105,9 @@ def exchange_coupling(b, d: float, c: float):
     # e^{v} I0(|v|) = I0e(|v|) e^{v + |v|}, and 1/sinh(s) = -2 e^{-s} / expm1(-2s).
     v = d * d * (b - 1.0 / b)
     w = np.abs(v)
+    i0_u, i0_w = np.i0(np.stack((u, w)))  # one call; I0 is elementwise
     decay = np.exp(-sinh_arg)
-    braces = np.exp(-u) * np.i0(u) * decay - np.exp(-w) * np.i0(w) * np.exp(v + w - sinh_arg)
+    braces = np.exp(-u) * i0_u * decay - np.exp(-w) * i0_w * np.exp(v + w - sinh_arg)
     j = (c * (np.sqrt(b) * braces) + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
         -2.0 / np.expm1(-2.0 * sinh_arg))
     return float(j) if j.ndim == 0 else j

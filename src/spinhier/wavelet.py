@@ -4,8 +4,9 @@ One-dimensional orthonormal decomposition of dyadic-length signals.  The
 low-pass output at each level is (s_{2k} + s_{2k+1}) / sqrt(2), the high-pass
 output the matching difference; iterating halves the resolution per level
 while conserving coefficient count and energy.  Each level is two strided
-slices of the whole array, combined with ufuncs that write straight into the
-level's output arrays, so a level allocates only what it returns.
+slices of the whole array, combined with ufuncs that write straight into
+buffers the call allocates once: the levels of a call take turns in them, so
+no level allocates an array of its own.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ def _butterfly(x: np.ndarray, y: np.ndarray, low: np.ndarray, high: np.ndarray,
     low += scratch
 
 
-def _split(signal: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Haar split of an even-length signal into two new arrays; ``scratch``
-    holds at least half the signal length and is overwritten."""
-    half = len(signal) // 2
-    low, high = np.empty(half), np.empty(half)
-    _butterfly(signal[0::2], signal[1::2], low, high, scratch[:half])
-    return low, high
-
-
 def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
     """One Haar split: pairwise sums and differences over sqrt(2).
 
@@ -73,7 +65,10 @@ def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
     signal = _as_real(signal, "signal", one_dimensional=True)
     if len(signal) < 2 or len(signal) % 2 != 0:
         raise ValueError(f"signal length must be even and >= 2, got shape {signal.shape}")
-    return _split(signal, np.empty(len(signal) // 2))
+    half = len(signal) // 2
+    low, high = np.empty(half), np.empty(half)
+    _butterfly(signal[0::2], signal[1::2], low, high, np.empty(half))
+    return low, high
 
 
 def _check_levels(n: int, levels) -> int:
@@ -89,7 +84,10 @@ def _check_levels(n: int, levels) -> int:
 def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     """Iterated Haar analysis down to the requested level.
 
-    Every returned band is a new array; the input is never written to.
+    No two returned bands share memory, and none shares it with the input,
+    which is never written to.  The detail bands are cut, finest first, from
+    one array; the intermediate approximations take turns in the two parts
+    of another, and only the coarsest approximation is an array of its own.
     """
     signal = _as_real(signal, "signal", one_dimensional=True)
     n = len(signal)
@@ -97,10 +95,16 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     if levels == 0:
         return PyramidDecomposition(approximation=signal.copy(), details=())
     scratch = np.empty(n // 2)
-    approx = signal
-    details = []
-    for _ in range(levels):
-        approx, high = _split(approx, scratch)
+    band_store = np.empty(n - (n >> levels))
+    pair = np.empty(n // 2 + n // 4)
+    turns = (pair[:n // 2], pair[n // 2:])
+    approx, details, start = signal, [], 0
+    for level in range(levels):
+        half = len(approx) // 2
+        low = np.empty(half) if level == levels - 1 else turns[level % 2][:half]
+        high = band_store[start:start + half]
+        _butterfly(approx[0::2], approx[1::2], low, high, scratch[:half])
+        approx, start = low, start + half
         details.append(high)
     return PyramidDecomposition(approximation=approx, details=tuple(details))
 
@@ -108,7 +112,8 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
 def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
     """Exact reconstruction from a Haar pyramid decomposition.
 
-    Returns a new array; the decomposition is never written to.
+    Returns a new array; the decomposition is never written to.  The levels
+    write by turns into the output and one spare array of half its length.
     """
     approx, *bands = [_as_real(band, "bands", one_dimensional=True) for band in
                       (decomposition.approximation, *reversed(decomposition.details))]
@@ -120,9 +125,12 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
     if not bands:
         return approx.copy()
     scratch = np.empty(size // 2)
+    out, spare = np.empty(size), np.empty(size // 2)
+    # an odd number of levels starts in the output, so the last one ends there
+    target, other = (out, spare) if len(bands) % 2 else (spare, out)
     for high in bands:
         half = len(approx)
-        signal = np.empty(2 * half)
+        signal = target[:2 * half]
         _butterfly(approx, high, signal[0::2], signal[1::2], scratch[:half])
-        approx = signal
-    return approx
+        approx, target, other = signal, other, target
+    return out

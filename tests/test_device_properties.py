@@ -5,7 +5,7 @@ never into (or through a view of) their input."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinhier import quantum_dot as qd
@@ -75,8 +75,13 @@ def test_pyramid_forward_is_bit_equal_to_two_tap_reference(case):
     assert all(_same_bits(g, r) for g, r in zip(got.details, details))
 
 
+# depths 1, 2 and 3 always run: the levels start in the output at odd depths
+# and in the spare array at even ones
 @settings(max_examples=80, deadline=None)
 @given(dyadic_signals())
+@example((np.random.default_rng(1).standard_normal(8), 1))
+@example((np.random.default_rng(2).standard_normal(8), 2))
+@example((np.random.default_rng(3).standard_normal(8), 3))
 def test_pyramid_inverse_is_bit_equal_to_two_tap_reference(case):
     coefficients, depth = case
     n = len(coefficients)
@@ -121,6 +126,26 @@ def test_haar_functions_never_write_to_or_alias_their_input(case):
     assert signal.tobytes() == original.tobytes()
     assert not any(np.shares_memory(out, signal) for out in outputs)
     assert not any(np.shares_memory(restored, band) for band in coefficients)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyadic_signals())
+def test_pyramid_outputs_are_arrays_of_their_own(case):
+    signal, depth = case
+    first = wv.pyramid_forward(signal, depth)
+    bands = [first.approximation, *first.details]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bands) for b in bands[i + 1:])
+    want = [band.copy() for band in bands]
+    restored = wv.pyramid_inverse(first)
+    want_restored = restored.copy()
+    written = [*bands, restored]
+    for array in written:  # the outputs of one call and the arrays of the next are apart
+        array.fill(np.nan)
+    second = wv.pyramid_forward(signal, depth)
+    second_bands = [second.approximation, *second.details]
+    assert all(_same_bits(g, w) for g, w in zip(second_bands, want))
+    assert _same_bits(wv.pyramid_inverse(second), want_restored)
+    assert all(np.isnan(array).all() for array in written)
 
 
 @st.composite
@@ -177,6 +202,16 @@ def test_array_exchange_coupling_equals_scalar_calls(d, c, bs):
     scalars = [qd.exchange_coupling(b, d, c) for b in bs]
     assert all(isinstance(x, float) for x in scalars)
     assert np.array_equal(values, scalars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 3.0), st.floats(-1e3, 1e3),
+       st.lists(st.floats(0.7072, 300.0), min_size=1, max_size=32))
+def test_array_exchange_coupling_is_bit_equal_to_its_scalar_calls(d, c, bs):
+    bs = [b for b in bs if b * d * d <= qd.BESSEL_MAX_ARG] or [1.0]
+    values = qd.exchange_coupling(np.array(bs), d, c)
+    scalars = np.array([qd.exchange_coupling(b, d, c) for b in bs])
+    assert _same_bits(values, scalars)
 
 
 def test_bessel_i0_accepts_arrays():

@@ -140,6 +140,21 @@ def test_xor_sequence_is_conditional_phase_flip():
     assert fid == pytest.approx(1.0, abs=1e-10)
 
 
+def test_xor_sequence_is_a_new_writable_array_on_every_call():
+    half_swap = gates.sqrt_swap_gate()
+    product = (gates.single_spin_z_rotation(1, np.pi / 2)
+               @ gates.single_spin_z_rotation(2, -np.pi / 2)
+               @ half_swap
+               @ gates.single_spin_z_rotation(1, np.pi)
+               @ half_swap)
+    first = gates.xor_sequence()
+    assert first.flags.writeable
+    first[:] = 0.0
+    second = gates.xor_sequence()
+    assert not np.shares_memory(first, second)
+    assert second.dtype == product.dtype and second.tobytes() == product.tobytes()
+
+
 def test_xor_sequence_hadamard_conjugation_gives_cnot():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQ2
     target_rotation = np.kron(np.eye(2), hadamard)
