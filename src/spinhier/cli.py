@@ -31,8 +31,7 @@ def _payload(array) -> list:
     import numpy as np
 
     array = np.asarray(array, dtype=complex)
-    if not np.all(np.isfinite(array)):
-        raise ValueError("array contains non-finite entries")
+    register._check_all(np.isfinite(array), array, "array contains non-finite entries")
     return (np.stack((array.real, array.imag), -1) + 0.0).tolist()
 
 
@@ -156,8 +155,7 @@ def _cmd_transform(args) -> None:
     states = hierarchy.multiplet_basis_states(tree)  # refuses a register above dense size
     amplitudes = hierarchy._check_state(_parse_amplitudes(_read_text(args.infile)), tree)
     # A linear map: any finite vector is accepted, normalized or not.
-    if not np.all(np.isfinite(amplitudes)):
-        raise ValueError("state amplitudes must be finite")
+    register._check_all(np.isfinite(amplitudes), amplitudes, "state amplitudes must be finite")
     # an overflow gives inf or nan, which _payload rejects
     inverse = args.direction == "inverse"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,6 +182,7 @@ def _cmd_analyze(args) -> None:
     from . import hierarchy
 
     tree = hierarchy.build_coupling_tree(args.qubits)
+    hierarchy._check_dense(tree.num_qubits)  # the size error comes before the input's
     state = _parse_amplitudes(_read_text(args.infile))
     profile = hierarchy.analyze_state(state, tree)
     doc = {"W": list(profile.detail_weights), "VM": profile.final_weight}
@@ -240,9 +239,8 @@ def _cmd_jsweep(args) -> None:
     with np.errstate(all="ignore"):
         fields = np.linspace(bmin, bmax, args.points)
         results = quantum_dot.sweep_exchange(params, fields, c=args.c)
-    bad = next((res.j_mev for res in results if not math.isfinite(res.j_mev)), None)
-    if bad is not None:
-        raise ValueError(f"exchange coupling must be finite, got {bad}")
+    j = np.array([res.j_mev for res in results])
+    register._check_all(np.isfinite(j), j, "exchange coupling must be finite")
     lines = ["B_tesla,b,J_meV"]
     for b_field, res in zip(fields, results):
         lines.append(f"{_csv_float(b_field)},{_csv_float(res.b)},{_csv_float(res.j_mev)}")
@@ -253,25 +251,22 @@ def _cmd_haar(args) -> None:
     import numpy as np
     from . import wavelet
 
-    values = [float(line) for line in _read_text(args.infile).split()]
-    bad = next((v for v in values if not math.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"input values must be finite, got {bad}")
+    values = np.array([float(line) for line in _read_text(args.infile).split()])
+    register._check_all(np.isfinite(values), values, "input values must be finite")
     if args.inverse:
         n = len(values)
         offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
-        approx, *details = np.split(np.array(values), offsets)  # coarsest detail first
+        approx, *details = np.split(values, offsets)  # coarsest detail first
         decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
         # an overflow gives inf or nan, which the check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
             out_values = wavelet.pyramid_inverse(decomposition)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            decomposition = wavelet.pyramid_forward(np.array(values), args.levels)
+            decomposition = wavelet.pyramid_forward(values, args.levels)
         out_values = np.concatenate(  # coarsest detail first
             [decomposition.approximation, *reversed(decomposition.details)])
-    if not np.all(np.isfinite(out_values)):
-        raise ValueError("result overflows the float range")
+    register._check_all(np.isfinite(out_values), out_values, "result overflows the float range")
     _emit("\n".join(_csv_float(v) for v in out_values) + "\n", args.out)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
-from .register import _as_float, _as_integer, _as_real
+from .register import _as_float, _as_integer, _as_real, _check_all
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
@@ -49,8 +49,7 @@ class PulseProfile:
         samples = _as_real(self.samples, "samples", one_dimensional=True).copy()
         if len(samples) < 2:
             raise ValueError("a pulse needs at least 2 samples")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("pulse samples must be finite")
+        _check_all(np.isfinite(samples), samples, "pulse samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "_array", samples)
         object.__setattr__(self, "samples", tuple(samples.tolist()))
@@ -60,8 +59,13 @@ class PulseProfile:
         return np.linspace(0.0, self.duration_ns, len(self.samples))
 
     def area(self) -> float:
-        """Dimensionless pulse area: trapezoid integral of J over hbar."""
-        return float(np.trapezoid(self._array, self.times) / HBAR_MEV_NS)
+        """Dimensionless pulse area: trapezoid integral of J over hbar.
+
+        The trapezoid rule is the midpoint rule at one step per segment, so
+        this is the angle :func:`evolve_pulse` accumulates at that step count;
+        an area beyond the float range raises ValueError.
+        """
+        return _pulse_angle(self, len(self.samples) - 1, "pulse area")
 
 
 def heisenberg_hamiltonian(j_mev: float) -> np.ndarray:
@@ -97,7 +101,9 @@ def _midpoint_sum(j: np.ndarray, steps: int) -> float:
     r = np.where(2 * residue > seg, seg - residue, -residue)
     counts = (np.diff(r) + float(steps)) / seg
     mu = 0.5 + (r[:-1] + r[1:]) / (2.0 * steps)
-    return float(np.dot(counts, (1.0 - mu) * j[:-1] + mu * j[1:]))
+    # .sum() adds pairwise, as np.trapezoid did: on a long profile the
+    # rounding grows with log(len(j)), where a running sum's grows with len(j)
+    return float((counts * ((1.0 - mu) * j[:-1] + mu * j[1:])).sum())
 
 
 def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
@@ -111,12 +117,17 @@ def evolve_pulse(profile: PulseProfile, steps: int) -> np.ndarray:
     which may be any integer from 1 to ``MAX_STEPS`` = 2^53.
     """
     steps = _as_integer("steps", steps, range(1, MAX_STEPS + 1))
-    dt = profile.duration_ns / steps
-    # The sum can overflow (J near the float maximum) and then meet a zero dt
-    # or an opposite infinity; a non-finite angle is refused below.
+    return exchange_propagator(_pulse_angle(profile, steps, "accumulated pulse angle"))
+
+
+def _pulse_angle(profile: PulseProfile, steps: int, name: str) -> float:
+    """Integral of J over hbar by the midpoint rule at ``steps`` steps, as a
+    finite float; ``name`` is what a non-finite result is refused as."""
+    # The sum can overflow (J near the float maximum) and then meet a zero
+    # step or an opposite infinity; a non-finite angle is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        total_angle = _midpoint_sum(profile._array, steps) * dt / HBAR_MEV_NS
-    return exchange_propagator(_as_float("accumulated pulse angle", total_angle))
+        angle = _midpoint_sum(profile._array, steps) * (profile.duration_ns / steps) / HBAR_MEV_NS
+    return _as_float(name, angle)
 
 
 def pulse_for_area(area: float, j0_mev: float) -> PulseProfile:

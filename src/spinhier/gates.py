@@ -13,15 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .register import _as_float, _as_integer
-
-
-def _square(name: str, matrix) -> np.ndarray:
-    """``matrix`` as an array if it is a square 2-D matrix; else ValueError naming it."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
-    return matrix
+from .register import _as_float, _as_integer, _square
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -43,6 +43,7 @@ Conventions fixed here and relied on by the test fixtures:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, reduce
 
@@ -54,7 +55,7 @@ from .register import (  # noqa: F401
     MultipletLabel, SpinLabel, TreeNode, build_coupling_tree, ladder_dimensions,
     register_content,
 )
-from .register import _as_integer, _content
+from .register import _as_integer, _content, _square
 
 MAX_DENSE_QUBITS = 8
 
@@ -365,22 +366,21 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     states carrying that label (ordered as in the canonical basis).  A key may
     be a :class:`LevelLabel` or, when it addresses a single node, a
     :class:`MultipletLabel`.  Unlisted labels receive the identity.  The
-    result is unitary exactly when every block is unitary.
+    result is unitary exactly when every block is unitary.  ``blocks`` that
+    is not a mapping, and a block that is not a square numeric matrix of the
+    label's size, raise ValueError.
     """
     groups = _level_groups(tree, level)
-
-    def normalize(key):
-        if isinstance(key, MultipletLabel):
-            return LevelLabel((SpinLabel(key.twice_j),), key.twice_m)
-        return key
-
+    if not isinstance(blocks, Mapping):
+        raise ValueError(f"blocks must be a mapping, got {type(blocks).__name__}")
     operator = np.eye(2 ** tree.num_qubits, dtype=complex)
     for key, block in blocks.items():
-        key = normalize(key)
+        if isinstance(key, MultipletLabel):
+            key = LevelLabel((SpinLabel(key.twice_j),), key.twice_m)
         if key not in groups.labels:
             raise ValueError(f"no basis states carry label {key} at level {level}")
         indices = np.flatnonzero(groups.label_id == groups.labels.index(key))
-        block = np.asarray(block, dtype=complex)
+        block = _square(f"block for {key}", block)
         if block.shape != (len(indices), len(indices)):
             raise ValueError(
                 f"block for {key} has shape {block.shape}, expected "

@@ -21,7 +21,7 @@ from .constants import E2_MEV_NM, MU_B_MEV_PER_T
 from .dot_scales import (  # noqa: F401
     DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
 )
-from .register import _as_float, _as_real
+from .register import _as_float, _as_real, _check_all
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
 
@@ -32,12 +32,6 @@ class ExchangeResult(NamedTuple):
     b: float
     c: float
     j_mev: float
-
-
-def _check_all(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise ValueError naming the first offending element unless all are ok."""
-    if not ok.all():
-        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
 
 
 def _dimensionless_fields(p: DotParameters, tesla: np.ndarray) -> np.ndarray:

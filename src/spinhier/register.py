@@ -5,10 +5,11 @@ Exact integer arithmetic in plain Python, so it loads without numpy (the
 ``decompose`` and ``ladder`` subcommands need nothing else); ``angular_momentum``
 and ``hierarchy`` re-export every public name.  Angular momenta are stored as
 twice their value (``twice_j``), so half-integer spins are exact integers.
-The three argument contracts of the public API live here too: ``_as_integer``
-checks every integer argument, ``_as_float`` every real scalar one, and
-``_as_real`` converts every real-array one, importing numpy only when it is
-called.
+The argument contracts of the public API live here too: ``_as_integer``
+checks every integer argument and ``_as_float`` every real scalar one;
+``_as_real`` converts every real-array argument and ``_square`` every matrix
+one, each importing numpy only when it is called; and ``_check_all`` is the one
+refusal of bad array elements, naming the first, through array methods alone.
 """
 
 from __future__ import annotations
@@ -89,6 +90,30 @@ def _as_real(values, name: str, one_dimensional: bool = False):
     if one_dimensional and values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     return values.astype(float, copy=False)
+
+
+def _check_all(ok, values, message: str) -> None:
+    """Raise ValueError naming the first offending element unless all are ok.
+
+    ``ok`` is a bool array of the shape of the array ``values``; the message
+    reads "<message>, got <first element of values where ok is False>".
+    """
+    if not ok.all():
+        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
+
+
+def _square(name: str, matrix):
+    """``matrix`` as a numpy array, the one check of every matrix argument of
+    the public API: a bool, integer, float or complex dtype, then a square
+    2-D shape; anything else raises ValueError naming ``name``."""
+    import numpy as np
+
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numeric, got dtype {matrix.dtype}")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
+    return matrix
 
 
 def _check_twice_j(twice_j) -> int:

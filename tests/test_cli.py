@@ -158,6 +158,13 @@ def test_transform_reports_the_dense_size_before_reading_its_input(tmp_path, cap
     assert err == "error: dense operations support at most 8 qubits (16 requested)\n"
 
 
+def test_analyze_reports_the_dense_size_before_reading_its_input(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "analyze", "--qubits", "16",
+                             "--in", str(tmp_path / "missing.json"))
+    assert code == 1 and out == ""
+    assert err == "error: dense operations support at most 8 qubits (16 requested)\n"
+
+
 def test_analyze_subcommand(tmp_path, capsys):
     singlet = [[0.0, 0.0], [-1 / np.sqrt(2), 0.0], [1 / np.sqrt(2), 0.0], [0.0, 0.0]]
     infile = tmp_path / "singlet.json"
@@ -367,6 +374,13 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "state has 3 amplitudes, tree expects 4"),
     (["analyze", "--qubits", "2", "--in", "{state}"], {"state": "[[1,0],[0,0],[0,0]]"},
      "state has 3 amplitudes, tree expects 4"),
+    (["transform", "--qubits", "1", "--in", "{state}"], {"state": "[[0,0],[Infinity,0]]"},
+     "error: state amplitudes must be finite, got (inf+0j)\n"),
+    (["transform", "--qubits", "2", "--in", "{state}"],
+     {"state": "[[0,0],[1.7e308,0],[1.7e308,0],[0,0]]"},
+     "error: array contains non-finite entries, got (inf+0j)\n"),
+    (["haar", "--in", "{signal}", "--levels", "2"], {"signal": "1e308\n" * 4},
+     "error: result overflows the float range, got inf\n"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -377,7 +391,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
         "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes",
-        "pulse-j0-nan", "pulse-j0-inf", "transform-size", "analyze-size"])
+        "pulse-j0-nan", "pulse-j0-inf", "transform-size", "analyze-size",
+        "transform-inf-named", "transform-output-overflow", "haar-overflow-named"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

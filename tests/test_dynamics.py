@@ -79,6 +79,13 @@ def test_pulse_profile_validation():
             dynamics.PulseProfile((1.0, 1.0), duration)
 
 
+def test_pulse_profile_names_its_first_non_finite_sample():
+    with pytest.raises(ValueError, match=r"^pulse samples must be finite, got nan$"):
+        dynamics.PulseProfile([1.0, np.nan], 1.0)
+    with pytest.raises(ValueError, match=r"^pulse samples must be finite, got -inf$"):
+        dynamics.PulseProfile([1.0, 2.0, -np.inf, np.nan], 1.0)
+
+
 def test_pulse_profiles_of_equal_samples_evolve_alike_whatever_they_were_built_from():
     values = np.sin(np.linspace(0.0, 3.0, 4097)) + 0.5
     source = values.copy()
@@ -103,6 +110,32 @@ def test_pulse_profiles_of_equal_samples_evolve_alike_whatever_they_were_built_f
 def test_pulse_area_trapezoid():
     profile = dynamics.PulseProfile((0.0, 1.0, 0.0), 2.0)
     assert profile.area() == pytest.approx(1.0 / HBAR_MEV_NS, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples,duration", [
+    ((1.0, 1.0), 1e308),  # d (y0 + y1) alone overflows
+    ((1e308, 1e308), 1.0),  # y0 + y1 alone overflows
+], ids=["long-duration", "large-samples"])
+def test_pulse_area_near_the_float_maximum_is_finite(samples, duration):
+    assert dynamics.PulseProfile(samples, duration).area() == 1e308 / HBAR_MEV_NS
+
+
+def test_pulse_area_beyond_the_float_range_is_refused():
+    profile = dynamics.PulseProfile((1e308, 1e308), 1e300)
+    with pytest.raises(ValueError, match=r"^pulse area must be finite, got inf$"):
+        profile.area()
+
+
+@pytest.mark.parametrize("samples,duration", [
+    ((0.0, 1.0, 0.25), 2.0),
+    ((1.0, -2.0, 0.5, 3.0), 0.7),
+    (tuple(np.sin(np.linspace(0.0, 3.0, 4097)) + 0.5), 2.0),
+    ((1e308, 1e308), 1.0),
+], ids=["triangle", "four-samples", "4097-samples", "large-samples"])
+def test_pulse_area_is_the_angle_of_one_step_per_segment(samples, duration):
+    profile = dynamics.PulseProfile(samples, duration)
+    expected = gates.exchange_propagator(profile.area())
+    assert dynamics.evolve_pulse(profile, len(samples) - 1).tobytes() == expected.tobytes()
 
 
 def test_swap_pulse():

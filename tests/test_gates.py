@@ -92,6 +92,22 @@ def test_gate_functions_refuse_all_but_square_matrices(call, name, shape):
         call()
 
 
+@pytest.mark.parametrize("call,name,dtype", [
+    (lambda: gates.unitarity_defect(np.array([["a"]])), "u", "<U1"),
+    (lambda: gates.unitarity_defect(np.array(["a", "b"])), "u", "<U1"),
+    (lambda: gates.gate_fidelity([[None]], [[None]]), "u", "object"),
+    (lambda: gates.gate_fidelity(np.eye(2), np.array([[b"a", b"b"]] * 2)), "v", "|S1"),
+    (lambda: gates.to_multiplet(np.array([["a"]]), np.eye(1)), "op", "<U1"),
+    (lambda: gates.to_multiplet(np.eye(1), np.array([["2000-01-01"]], "datetime64[D]")),
+     "a", "datetime64[D]"),
+], ids=["defect-text", "defect-text-vector", "fidelity-none", "fidelity-bytes",
+        "multiplet-text", "multiplet-dates"])
+def test_gate_functions_refuse_non_numeric_matrices_before_their_shape(call, name, dtype):
+    with pytest.raises(ValueError, match=f"^{name} must be numeric, got dtype "
+                                         f"{re.escape(dtype)}$"):
+        call()
+
+
 def test_to_multiplet_keeps_the_dimension_mismatch_message():
     with pytest.raises(ValueError, match=r"^dimension mismatch: op \(2, 2\) vs basis \(4, 4\)$"):
         gates.to_multiplet(np.eye(2), PAIR_MATRIX)

@@ -553,6 +553,25 @@ def test_conditioned_block_shape_error():
         hi.conditioned_operator(tree, 1, {MultipletLabel(6, 0): np.eye(1)})
 
 
+SINGLET_KEY = re.escape(str(hi.LevelLabel((SpinLabel(0),), 0)))
+
+
+@pytest.mark.parametrize("blocks,message", [
+    ([1, 2], "^blocks must be a mapping, got list$"),
+    ("ab", "^blocks must be a mapping, got str$"),
+    ({MultipletLabel(0, 0): "ab"}, f"^block for {SINGLET_KEY} must be numeric, got dtype <U2$"),
+    ({MultipletLabel(0, 0): [[None]]},
+     f"^block for {SINGLET_KEY} must be numeric, got dtype object$"),
+    ({MultipletLabel(0, 0): [1.0]},
+     rf"^block for {SINGLET_KEY} must be a square matrix, got shape \(1,\)$"),
+    ({MultipletLabel(0, 0): np.eye(2)},
+     rf"^block for {SINGLET_KEY} has shape \(2, 2\), expected \(1, 1\)$"),
+], ids=["list", "str", "text-block", "none-block", "vector-block", "wrong-size-block"])
+def test_conditioned_operator_names_what_it_refuses(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        hi.conditioned_operator(hi.build_coupling_tree(2), 1, blocks)
+
+
 # ------------------------------------------------------ reduced density matrix
 
 def test_reduce_pure_triplet():

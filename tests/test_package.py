@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import spinhier
-from spinhier import angular_momentum, dot_scales, hierarchy, quantum_dot, register
+from spinhier import angular_momentum, dot_scales, gates, hierarchy, quantum_dot, register
 
 # Run one subcommand through cli.main in a fresh interpreter, then report on
 # stderr whether numpy was imported on the way.
@@ -65,6 +65,15 @@ def test_package_resolves_every_listed_module():
 def test_numerical_modules_re_export_the_numpy_free_names(module, source, names):
     for name in names:
         assert getattr(module, name) is getattr(source, name), name
+
+
+def test_element_and_matrix_checks_are_defined_once_in_register():
+    assert quantum_dot._check_all is register._check_all
+    assert gates._square is register._square
+    for path in Path(spinhier.__file__).parent.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef)}
+        assert path.name == "register.py" or not defined & {"_check_all", "_square"}, path.name
 
 
 def _unused_imports(path):
