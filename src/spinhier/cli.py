@@ -5,9 +5,9 @@ round-trip representation, so repeated runs on the same inputs are
 byte-identical.  JSON documents go to stdout; the CSV subcommands accept
 ``--out`` and default to stdout as well.
 
-numpy and the numerical modules are imported inside the handlers that use
-them, so ``decompose``, ``ladder``, ``estimates`` and ``constants`` start
-without numpy, on the ``register``, ``dot_scales`` and ``constants`` modules.
+numpy and the numerical modules are loaded in the handlers that use them:
+``decompose``, ``ladder``, ``estimates`` and ``constants`` load neither numpy
+nor ``dataclasses``, only ``register``, ``dot_scales`` and ``constants``.
 
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.

@@ -1,21 +1,21 @@
 """Material record of a GaAs double quantum dot and its physical scale estimates.
 
-Scalar ``math`` on the pinned constants, so it loads without numpy (the
-``estimates`` subcommand needs nothing else); ``quantum_dot`` re-exports every
-public name.  Outputs are meV and nm.
+Scalar ``math`` on the pinned constants, so it loads without numpy or
+``dataclasses`` (``estimates`` needs nothing else); ``quantum_dot`` re-exports
+every public name.  Outputs are meV and nm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV
-from .register import _as_float
+from .register import _CheckedRecord, _as_float
 
 
-@dataclass(frozen=True)
-class DotParameters:
+class DotParameters(_CheckedRecord, namedtuple(
+        "DotParameters", "g hbar_omega0 mass_ratio epsilon d b_field")):
     """Material and geometry record for a coupled-dot pair.
 
     g: electron g-factor; hbar_omega0: confinement energy (meV); mass_ratio:
@@ -25,16 +25,11 @@ class DotParameters:
     the finite Python float that ``register._as_float`` makes of it.
     """
 
-    g: float
-    hbar_omega0: float
-    mass_ratio: float
-    epsilon: float
-    d: float
-    b_field: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name, _as_float(field.name, getattr(self, field.name)))
+    def __new__(cls, g, hbar_omega0, mass_ratio, epsilon, d, b_field=0.0):
+        self = tuple.__new__(cls, map(_as_float, cls._fields,
+                                      (g, hbar_omega0, mass_ratio, epsilon, d, b_field)))
         if self.hbar_omega0 <= 0:
             raise ValueError("confinement energy must be positive")
         if self.mass_ratio <= 0:
@@ -43,6 +38,7 @@ class DotParameters:
             raise ValueError("dielectric constant must be >= 1")
         if self.d <= 0:
             raise ValueError("half-distance must be positive")
+        return self
 
     @classmethod
     def gaas(cls, d: float = 0.7, b_field: float = 0.0) -> "DotParameters":
@@ -51,13 +47,10 @@ class DotParameters:
                    d=d, b_field=b_field)
 
 
-@dataclass(frozen=True)
-class PhysicalEstimates:
+class PhysicalEstimates(namedtuple("PhysicalEstimates", "a_b_nm spin_orbit_ratio dipole_mev")):
     """Order-of-magnitude scales of the dot pair."""
 
-    a_b_nm: float
-    spin_orbit_ratio: float
-    dipole_mev: float
+    __slots__ = ()
 
 
 def bohr_radius(p: DotParameters) -> float:

@@ -35,7 +35,8 @@ class PulseProfile:
     The pulse area is the trapezoid-rule integral of J divided by hbar.  The
     float array checked at construction is kept too, as a private read-only
     copy outside comparison, hashing and repr, so no later call converts the
-    samples again.
+    samples again.  That private field is why this is the package's one
+    dataclass, where every other record is a named tuple.
     """
 
     samples: tuple[float, ...]

@@ -48,12 +48,16 @@ def to_multiplet(op: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Express ``op`` in the multiplet basis: A^{-1} op A.
 
     ``a`` is the product-to-multiplet coupling matrix (columns are multiplet
-    states in the product basis).  Similarity preserves the spectrum.
+    states in the product basis).  Similarity preserves the spectrum.  A
+    singular ``a`` raises ValueError.
     """
     op, a = _square("op", op), _square("a", a)
     if op.shape != a.shape:
         raise ValueError(f"dimension mismatch: op {op.shape} vs basis {a.shape}")
-    return np.linalg.solve(a, op @ a)
+    try:
+        return np.linalg.solve(a, op @ a)
+    except np.linalg.LinAlgError:
+        raise ValueError("a must be invertible, got a singular matrix") from None
 
 
 def single_spin_z_rotation(which: int, angle: float) -> np.ndarray:

@@ -43,8 +43,8 @@ Conventions fixed here and relied on by the test fixtures:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, reduce
 
 import numpy as np
@@ -62,34 +62,30 @@ MAX_DENSE_QUBITS = 8
 NORM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class MultipletBasisState:
+class MultipletBasisState(namedtuple("MultipletBasisState", "path terminal")):
     """One column label of the hierarchic transform.
 
-    ``path`` holds the intermediate spin of every internal node in post-order;
-    ``terminal`` is the (J, M) of the whole register, with J equal to the last
-    path entry.
+    ``path`` holds the intermediate spin of every internal node in post-order,
+    a tuple of :class:`SpinLabel`; ``terminal`` is the (J, M) of the whole
+    register, a :class:`MultipletLabel`, with J equal to the last path entry.
     """
 
-    path: tuple[SpinLabel, ...]
-    terminal: MultipletLabel
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LevelLabel:
+class LevelLabel(namedtuple("LevelLabel", "spins twice_m")):
     """Coarse label of a basis state: node spins at levels >= some cutoff
-    (post-order) together with the register magnetic number."""
+    (post-order, a tuple of :class:`SpinLabel`) together with the register
+    magnetic number 2M."""
 
-    spins: tuple[SpinLabel, ...]
-    twice_m: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LadderProfile:
-    """Squared projection norms of a state onto W_1 ... W_M and V_M."""
+class LadderProfile(namedtuple("LadderProfile", "detail_weights final_weight")):
+    """Squared projection norms of a state onto W_1 ... W_M (the tuple
+    ``detail_weights``) and V_M (``final_weight``)."""
 
-    detail_weights: tuple[float, ...]
-    final_weight: float
+    __slots__ = ()
 
     def total(self) -> float:
         return sum(self.detail_weights) + self.final_weight
@@ -196,18 +192,16 @@ def _check_dense(num_qubits: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _LevelGroups:
+class _LevelGroups(namedtuple("_LevelGroups", "labels label_id fine_id num_fine")):
     """Canonical basis states grouped by their coarse label at one level.
 
     State k carries label ``labels[label_id[k]]`` and fine part number
-    ``fine_id[k]``; no two states share both ids.
+    ``fine_id[k]`` (two integer arrays); no two states share both ids.
+    ``labels`` is in canonical order, which is first-seen order, and
+    ``num_fine`` counts the fine parts.
     """
 
-    labels: tuple[LevelLabel, ...]  # canonical order, which is first-seen order
-    label_id: np.ndarray
-    fine_id: np.ndarray
-    num_fine: int
+    __slots__ = ()
 
 
 _spin_label = cache(SpinLabel)

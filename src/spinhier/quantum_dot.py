@@ -12,8 +12,8 @@ and re-exported here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +26,11 @@ from .register import _as_float, _as_real, _check_all
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
 
 
-class ExchangeResult(NamedTuple):
-    """Exchange evaluation at one field point (an immutable named tuple)."""
+class ExchangeResult(namedtuple("ExchangeResult", "b c j_mev")):
+    """Exchange evaluation at one field point: the dimensionless field b, the
+    Coulomb parameter c and the exchange coupling J in meV."""
 
-    b: float
-    c: float
-    j_mev: float
+    __slots__ = ()
 
 
 def _dimensionless_fields(p: DotParameters, tesla: np.ndarray) -> np.ndarray:

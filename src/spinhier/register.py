@@ -1,8 +1,8 @@
 """Integer bookkeeping of spin-1/2 registers: spin labels, total-spin content,
 coupling trees and the dimensions of the V/W ladder.
 
-Exact integer arithmetic in plain Python, so it loads without numpy (the
-``decompose`` and ``ladder`` subcommands need nothing else); ``angular_momentum``
+Exact integer arithmetic in plain Python, so it loads without numpy or
+``dataclasses`` (``decompose`` and ``ladder`` need nothing else); ``angular_momentum``
 and ``hierarchy`` re-export every public name.  Angular momenta are stored as
 twice their value (``twice_j``), so half-integer spins are exact integers.
 The argument contracts of the public API live here too: ``_as_integer``
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 # Largest 2j that cg and couple_pair_matrix accept, a cost guard only they check.
@@ -105,7 +105,7 @@ def _check_all(ok, values, message: str) -> None:
 def _square(name: str, matrix):
     """``matrix`` as a numpy array, the one check of every matrix argument of
     the public API: a bool, integer, float or complex dtype, then a square
-    2-D shape; anything else raises ValueError naming ``name``."""
+    2-D shape, then finite entries; anything else raises ValueError naming ``name``."""
     import numpy as np
 
     matrix = np.asarray(matrix)
@@ -113,6 +113,7 @@ def _square(name: str, matrix):
         raise ValueError(f"{name} must be numeric, got dtype {matrix.dtype}")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
+    _check_all(np.isfinite(matrix), matrix, f"{name} entries must be finite")
     return matrix
 
 
@@ -134,14 +135,20 @@ def _check_twice_m(twice_j: int, twice_m) -> int:
     return twice_m
 
 
-@dataclass(frozen=True, order=True)
-class SpinLabel:
+class _CheckedRecord:
+    """Named-tuple base whose ``_make``, so ``_replace`` too, checks as ``__new__`` does."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+class SpinLabel(_CheckedRecord, namedtuple("SpinLabel", "twice_j")):
     """A single angular momentum j, stored exactly as 2j."""
 
-    twice_j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "twice_j", _check_twice_j(self.twice_j))
+    def __new__(cls, twice_j):
+        return tuple.__new__(cls, (_check_twice_j(twice_j),))
 
     @property
     def j(self) -> float:
@@ -157,16 +164,14 @@ class SpinLabel:
         return range(-self.twice_j, self.twice_j + 1, 2)
 
 
-@dataclass(frozen=True, order=True)
-class MultipletLabel:
+class MultipletLabel(_CheckedRecord, namedtuple("MultipletLabel", "twice_j twice_m")):
     """A (J, M) pair labelling one state of a total-spin multiplet."""
 
-    twice_j: int
-    twice_m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "twice_j", _check_twice_j(self.twice_j))
-        object.__setattr__(self, "twice_m", _check_twice_m(self.twice_j, self.twice_m))
+    def __new__(cls, twice_j, twice_m):
+        twice_j = _check_twice_j(twice_j)
+        return tuple.__new__(cls, (twice_j, _check_twice_m(twice_j, twice_m)))
 
     @property
     def j(self) -> float:
@@ -208,12 +213,10 @@ def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
     return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(namedtuple("TreeNode", "offset num_qubits")):
     """One block of the coupling tree: qubits [offset, offset + num_qubits)."""
 
-    offset: int
-    num_qubits: int
+    __slots__ = ()
 
     @property
     def level(self) -> int:
@@ -238,16 +241,15 @@ class TreeNode:
         return _content(self.num_qubits)
 
 
-@dataclass(frozen=True)
-class CouplingTree:
+class CouplingTree(_CheckedRecord, namedtuple("CouplingTree", "num_qubits")):
     """Balanced pairwise coupling plan over a power-of-two register, derived from its size."""
 
-    num_qubits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_qubits", _as_integer(
-            "num_qubits", self.num_qubits, _TREE_SIZES,
-            f"register size must be a power of two in 1..{MAX_TREE_QUBITS}, got {{}}"))
+    def __new__(cls, num_qubits):
+        return tuple.__new__(cls, (_as_integer(
+            "num_qubits", num_qubits, _TREE_SIZES,
+            f"register size must be a power of two in 1..{MAX_TREE_QUBITS}, got {{}}"),))
 
     @property
     def levels(self) -> int:
@@ -272,12 +274,10 @@ def build_coupling_tree(num_qubits: int) -> CouplingTree:
     return CouplingTree(num_qubits)
 
 
-@dataclass(frozen=True)
-class LadderDimensions:
-    """Dimension bookkeeping of the ladder V_0 ⊃ V_1 ⊃ ... ⊃ V_M."""
+class LadderDimensions(namedtuple("LadderDimensions", "v w")):
+    """Dimensions of the ladder V_0 ⊃ ... ⊃ V_M: V_0 ... V_M in v, W_1 ... W_M in w."""
 
-    v: tuple[int, ...]  # dim V_0 ... dim V_M
-    w: tuple[int, ...]  # dim W_1 ... dim W_M
+    __slots__ = ()
 
     @property
     def levels(self) -> int:

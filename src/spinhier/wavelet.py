@@ -11,7 +11,7 @@ no level allocates an array of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import sqrt
 
 import numpy as np
@@ -21,17 +21,16 @@ from .register import _as_integer, _as_real
 _S = 1.0 / sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PyramidDecomposition:
-    """Approximation at the coarsest level plus details per level.
+class PyramidDecomposition(namedtuple("PyramidDecomposition", "approximation details")):
+    """Approximation at the coarsest level (an array) plus details per level
+    (a tuple of arrays).
 
     ``details[0]`` is the finest detail band (length n/2), ``details[-1]``
     the coarsest (same length as ``approximation``).  Total coefficient count
     equals the input length.
     """
 
-    approximation: np.ndarray
-    details: tuple[np.ndarray, ...]
+    __slots__ = ()
 
     @property
     def levels(self) -> int:

@@ -108,6 +108,29 @@ def test_gate_functions_refuse_non_numeric_matrices_before_their_shape(call, nam
         call()
 
 
+@pytest.mark.parametrize("call,name,value", [
+    (lambda: gates.unitarity_defect([[np.inf]]), "u", "inf"),
+    (lambda: gates.gate_fidelity([[np.nan]], [[1.0]]), "u", "nan"),
+    (lambda: gates.gate_fidelity(np.eye(2), [[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]), "v",
+     "-infj"),
+    (lambda: gates.to_multiplet([[np.nan]], [[1.0]]), "op", "nan"),
+    (lambda: gates.to_multiplet(np.eye(2), [[1.0, -np.inf], [0.0, 1.0]]), "a", "-inf"),
+], ids=["defect-inf", "fidelity-nan", "fidelity-complex-inf", "multiplet-nan",
+        "multiplet-basis-inf"])
+def test_gate_functions_refuse_non_finite_entries(call, name, value):
+    # before the check: a fidelity of nan, a defect of inf and a nan matrix
+    with pytest.raises(ValueError, match=f"^{name} entries must be finite, got "
+                                         f"{re.escape(value)}$"):
+        call()
+
+
+def test_to_multiplet_names_a_singular_basis():
+    # before: numpy's LinAlgError "Singular matrix", which names no argument
+    with pytest.raises(ValueError, match="^a must be invertible, got a singular matrix$") as error:
+        gates.to_multiplet(np.eye(2), np.zeros((2, 2)))
+    assert type(error.value) is ValueError
+
+
 def test_to_multiplet_keeps_the_dimension_mismatch_message():
     with pytest.raises(ValueError, match=r"^dimension mismatch: op \(2, 2\) vs basis \(4, 4\)$"):
         gates.to_multiplet(np.eye(2), PAIR_MATRIX)

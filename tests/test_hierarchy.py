@@ -566,7 +566,10 @@ SINGLET_KEY = re.escape(str(hi.LevelLabel((SpinLabel(0),), 0)))
      rf"^block for {SINGLET_KEY} must be a square matrix, got shape \(1,\)$"),
     ({MultipletLabel(0, 0): np.eye(2)},
      rf"^block for {SINGLET_KEY} has shape \(2, 2\), expected \(1, 1\)$"),
-], ids=["list", "str", "text-block", "none-block", "vector-block", "wrong-size-block"])
+    ({MultipletLabel(0, 0): [[np.nan]]},
+     f"^block for {SINGLET_KEY} entries must be finite, got nan$"),
+], ids=["list", "str", "text-block", "none-block", "vector-block", "wrong-size-block",
+        "nan-block"])
 def test_conditioned_operator_names_what_it_refuses(blocks, message):
     with pytest.raises(ValueError, match=message):
         hi.conditioned_operator(hi.build_coupling_tree(2), 1, blocks)

@@ -1,7 +1,7 @@
-"""Package layout: lazy submodules, the numpy-free modules behind the integer
-and scalar subcommands, the names the numerical modules re-export, no unused
-imports in the package sources, one float conversion of real arrays, and
-Python 3.10 grammar in every source."""
+"""Package layout: lazy submodules, the numpy- and dataclass-free modules
+behind the integer and scalar subcommands, the names the numerical modules
+re-export, no unused imports in the package sources, one float conversion of
+real arrays, and Python 3.10 grammar in every source."""
 
 import ast
 import importlib
@@ -15,14 +15,22 @@ import spinhier
 from spinhier import angular_momentum, dot_scales, gates, hierarchy, quantum_dot, register
 
 # Run one subcommand through cli.main in a fresh interpreter, then report on
-# stderr whether numpy was imported on the way.
+# stderr which of numpy, dataclasses and inspect (which dataclasses imports)
+# were imported on the way.
 _PROBE = """\
 import sys
 from spinhier.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
+print(*[m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules], file=sys.stderr)
 sys.exit(code)
 """
+
+
+def _probe(argv):
+    run = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout
+    return run.stderr.split()
 
 
 @pytest.mark.parametrize("argv", [
@@ -32,16 +40,29 @@ sys.exit(code)
     ["constants"],
 ])
 def test_integer_and_scalar_subcommands_do_not_import_numpy(argv):
-    run = subprocess.run([sys.executable, "-c", _PROBE, *argv],
-                         capture_output=True, text=True, check=True)
-    assert run.stdout
-    assert run.stderr == "False\n"
+    assert _probe(argv) == []
 
 
-def test_numerical_subcommand_still_imports_numpy():
-    run = subprocess.run([sys.executable, "-c", _PROBE, "gate", "--name", "swap"],
-                         capture_output=True, text=True, check=True)
-    assert run.stderr == "True\n"
+@pytest.mark.parametrize("argv,dataclasses", [
+    (["gate", "--name", "swap"], False),
+    (["pulse", "--j0", "1", "--area", "pi"], True),
+], ids=["gate", "pulse"])
+def test_numerical_subcommand_still_imports_numpy(argv, dataclasses):
+    loaded = _probe(argv)
+    assert "numpy" in loaded
+    assert ("dataclasses" in loaded) is dataclasses
+
+
+def test_only_dynamics_imports_dataclasses():
+    importers = set()
+    for path in Path(spinhier.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [])
+            if "dataclasses" in names:
+                importers.add(path.name)
+    assert importers == {"dynamics.py"}
 
 
 def test_package_resolves_every_listed_module():

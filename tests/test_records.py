@@ -1,0 +1,113 @@
+"""Value records: named tuples that read, compare and hash as the plain tuple
+of their values, whose reprs name their fields, and whose ``_replace`` checks
+a field as the constructor does."""
+
+import re
+
+import numpy as np
+import pytest
+
+from spinhier import hierarchy, quantum_dot, wavelet
+from spinhier.register import (
+    CouplingTree, InvalidLabelError, LadderDimensions, MultipletLabel, SpinLabel, TreeNode,
+    ladder_dimensions,
+)
+
+GAAS = quantum_dot.DotParameters.gaas()
+
+# Each record with the repr its dataclass form gave.
+REPRS = [
+    (SpinLabel(3), "SpinLabel(twice_j=3)"),
+    (MultipletLabel(3, -1), "MultipletLabel(twice_j=3, twice_m=-1)"),
+    (TreeNode(4, 2), "TreeNode(offset=4, num_qubits=2)"),
+    (CouplingTree(8), "CouplingTree(num_qubits=8)"),
+    (ladder_dimensions(2), "LadderDimensions(v=(16, 9, 5), w=(7, 4))"),
+    (GAAS, "DotParameters(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=13.1, d=0.7, "
+           "b_field=0.0)"),
+    (quantum_dot.physical_estimates(GAAS),
+     "PhysicalEstimates(a_b_nm=19.470539769508367, spin_orbit_ratio=4.381224990507346e-08, "
+     "dipole_mev=1.408007666991441e-09)"),
+    (hierarchy.multiplet_basis_states(hierarchy.build_coupling_tree(2))[1],
+     "MultipletBasisState(path=(SpinLabel(twice_j=2),), "
+     "terminal=MultipletLabel(twice_j=2, twice_m=0))"),
+    (hierarchy.level_labels(hierarchy.build_coupling_tree(4), 2)[0],
+     "LevelLabel(spins=(SpinLabel(twice_j=4),), twice_m=-4)"),
+    (hierarchy.analyze_state(np.eye(16)[3], hierarchy.build_coupling_tree(4)),
+     "LadderProfile(detail_weights=(0.0, 0.8333333333333335), "
+     "final_weight=0.16666666666666666)"),
+    (hierarchy._groups_at(2, 1),
+     "_LevelGroups(labels=(LevelLabel(spins=(SpinLabel(twice_j=2),), twice_m=-2), "
+     "LevelLabel(spins=(SpinLabel(twice_j=2),), twice_m=0), "
+     "LevelLabel(spins=(SpinLabel(twice_j=2),), twice_m=2), "
+     "LevelLabel(spins=(SpinLabel(twice_j=0),), twice_m=0)), "
+     "label_id=array([0, 1, 2, 3]), fine_id=array([0, 0, 0, 0]), num_fine=1)"),
+    (wavelet.pyramid_forward([0.0, 2.0, 4.0, 8.0], 2),
+     "PyramidDecomposition(approximation=array([7.]), details=(array([-1.41421356, "
+     "-2.82842712]), array([-5.])))"),
+    (quantum_dot.exchange_at_field(GAAS, 1.5),
+     "ExchangeResult(b=1.0, c=1.5, j_mev=1.5528038096869716)"),
+]
+RECORDS = [record for record, _ in REPRS]
+NAMES = [type(record).__name__ for record in RECORDS]
+
+
+@pytest.mark.parametrize("record,text", REPRS, ids=NAMES)
+def test_record_reprs_name_their_fields(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=NAMES)
+def test_records_are_immutable_named_tuples(record):
+    assert isinstance(record, tuple)
+    assert tuple(record) == tuple(getattr(record, name) for name in record._fields)
+    assert record._asdict() == dict(zip(record._fields, record))
+    for name in (*record._fields, "anything"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_records_equal_the_plain_tuple_of_their_values():
+    assert SpinLabel(4) == CouplingTree(4) == (4,)
+    assert hash(SpinLabel(4)) == hash(CouplingTree(4)) == hash((4,))
+    assert MultipletLabel(2, 0) == TreeNode(2, 0) == (2, 0)
+    assert sorted([SpinLabel(3), SpinLabel(1)]) == [SpinLabel(1), SpinLabel(3)]
+    assert MultipletLabel(1, 1) < MultipletLabel(3, -1)
+    assert ladder_dimensions(1) == LadderDimensions((4, 3), (1,))
+
+
+# (record, fields to replace) for every record that checks its fields
+CHECKED = {
+    "SpinLabel-negative": (SpinLabel(2), {"twice_j": -1}),
+    "SpinLabel-float": (SpinLabel(2), {"twice_j": 2.0}),
+    "MultipletLabel-parity": (MultipletLabel(2, 0), {"twice_m": 1}),
+    "MultipletLabel-range": (MultipletLabel(2, 0), {"twice_m": 4}),
+    "MultipletLabel-j": (MultipletLabel(2, 0), {"twice_j": -2}),
+    "CouplingTree-size": (CouplingTree(8), {"num_qubits": 6}),
+    "CouplingTree-bool": (CouplingTree(8), {"num_qubits": True}),
+    "DotParameters-d": (GAAS, {"d": -1.0}),
+    "DotParameters-nan": (GAAS, {"b_field": float("nan")}),
+    "DotParameters-complex": (GAAS, {"g": 1j}),
+    "DotParameters-epsilon": (GAAS, {"epsilon": 0.5}),
+}
+
+
+@pytest.mark.parametrize("record,changes", CHECKED.values(), ids=CHECKED.keys())
+def test_replace_checks_a_field_as_the_constructor_does(record, changes):
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), **changes})
+    message = f"^{re.escape(str(built.value))}$"
+    with pytest.raises(type(built.value), match=message):
+        record._replace(**changes)
+    with pytest.raises(type(built.value), match=message):
+        type(record)._make({**record._asdict(), **changes}.values())
+
+
+def test_replace_and_make_keep_the_checked_values():
+    assert SpinLabel(2)._replace(twice_j=np.int64(4)) == SpinLabel(4)
+    assert type(SpinLabel(2)._replace(twice_j=np.int64(4)).twice_j) is int
+    replaced = GAAS._replace(d=np.float32(0.5), b_field=2)
+    assert replaced == quantum_dot.DotParameters.gaas(d=0.5, b_field=2.0)
+    assert all(type(value) is float for value in replaced)
+    assert MultipletLabel._make([3, -1]) == MultipletLabel(3, -1)
+    with pytest.raises(InvalidLabelError, match="^twice_j must be non-negative, got -1$"):
+        SpinLabel._make([-1])
