@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -302,24 +302,40 @@ def _check_state(state, tree: CouplingTree) -> np.ndarray:
     return state.astype(complex, copy=False)
 
 
-def _check_unit_state(state, tree: CouplingTree) -> np.ndarray:
-    """:func:`_check_state`, and the norm must be 1 within ``NORM_TOLERANCE``."""
-    state = _check_state(state, tree)
-    # np.linalg.norm's sum of squares, through vdot, which does not warn on
-    # overflow: an overflowing norm is inf and fails below
-    norm = np.sqrt(np.vdot(state.real, state.real) + np.vdot(state.imag, state.imag))
-    # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:
-        raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")
-    return state
-
-
 def _apply_transform(vector: np.ndarray, num_qubits: int, inverse: bool = False) -> np.ndarray:
     """U^T v, the hierarchic amplitudes of v, or with ``inverse`` U v: the
     real U applied to each part of the complex v, so U is never made complex.
     The one apply of the transform; callers check the register size."""
     matrix = _transform(num_qubits) if inverse else _transform(num_qubits).T
     return matrix @ vector.real + 1j * (matrix @ vector.imag)
+
+
+def _unit_amplitudes(state, tree: CouplingTree) -> np.ndarray:
+    """Read-only hierarchic amplitudes U^T psi of a unit state: :func:`_check_state`
+    on every call, then the norm test and the apply of :func:`_amplitudes_of`,
+    which holds the last state's.  The descent of one state, ``analyze_state``
+    and then ``reduce_to_level`` at each level, applies the transform once."""
+    state = _check_state(state, tree)
+    return _amplitudes_of(state.tobytes(), tree.num_qubits)
+
+
+# Keyed by content, never by identity, so a state written to in place between
+# two calls is computed again.  One entry: consecutive calls on an equal state
+# are the traffic this serves.
+@lru_cache(maxsize=1)
+def _amplitudes_of(data: bytes, num_qubits: int) -> np.ndarray:
+    """The norm of the complex state held in ``data`` must be 1 within
+    ``NORM_TOLERANCE``; returns its amplitudes, read-only."""
+    state = np.frombuffer(data, dtype=complex)
+    # np.linalg.norm's sum of squares, through vdot, which does not warn on
+    # overflow: an overflowing norm is inf and fails below
+    norm = np.sqrt(np.vdot(state.real, state.real) + np.vdot(state.imag, state.imag))
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")
+    amplitudes = _apply_transform(state, num_qubits)
+    amplitudes.flags.writeable = False
+    return amplitudes
 
 
 def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
@@ -330,8 +346,7 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     decomposition).
     """
     _check_dense(tree.num_qubits)
-    state = _check_unit_state(state, tree)
-    amplitudes = _apply_transform(state, tree.num_qubits)
+    amplitudes = _unit_amplitudes(state, tree)
     weights = np.bincount(_ladder_bins(tree.num_qubits),
                           weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
                           minlength=tree.levels + 1)
@@ -397,7 +412,6 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     so rho = A^T A^*.
     """
     groups = _level_groups(tree, level)
-    state = _check_unit_state(state, tree)
     scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
-    scattered[groups.fine_id, groups.label_id] = _apply_transform(state, tree.num_qubits)
+    scattered[groups.fine_id, groups.label_id] = _unit_amplitudes(state, tree)
     return scattered.T @ scattered.conj(), list(groups.labels)

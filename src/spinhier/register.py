@@ -105,7 +105,8 @@ def _check_all(ok, values, message: str) -> None:
 def _square(name: str, matrix):
     """``matrix`` as a numpy array, the one check of every matrix argument of
     the public API: a bool, integer, float or complex dtype, then a square
-    2-D shape, then finite entries; anything else raises ValueError naming ``name``."""
+    2-D shape, then at least one entry, then finite entries; anything else
+    raises ValueError naming ``name``."""
     import numpy as np
 
     matrix = np.asarray(matrix)
@@ -113,6 +114,8 @@ def _square(name: str, matrix):
         raise ValueError(f"{name} must be numeric, got dtype {matrix.dtype}")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
+    if matrix.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {matrix.shape}")
     _check_all(np.isfinite(matrix), matrix, f"{name} entries must be finite")
     return matrix
 
@@ -213,10 +216,25 @@ def register_content(num_qubits: int) -> list[tuple[SpinLabel, int]]:
     return [(SpinLabel(tj), mult) for tj, mult in _content(num_qubits)]
 
 
-class TreeNode(namedtuple("TreeNode", "offset num_qubits")):
-    """One block of the coupling tree: qubits [offset, offset + num_qubits)."""
+class TreeNode(_CheckedRecord, namedtuple("TreeNode", "offset num_qubits")):
+    """One block of the coupling tree: qubits [offset, offset + num_qubits).
+
+    A block is a power of two in 1..``MAX_TREE_QUBITS`` qubits at a
+    non-negative multiple of its size, as in every tree.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, offset, num_qubits):
+        offset = _as_integer("offset", offset)
+        num_qubits = _as_integer(
+            "num_qubits", num_qubits, _TREE_SIZES,
+            f"node size must be a power of two in 1..{MAX_TREE_QUBITS}, got {{}}")
+        if offset < 0 or offset % num_qubits:
+            raise ValueError(
+                f"offset must be a non-negative multiple of num_qubits = {num_qubits}, "
+                f"got {offset}")
+        return _node(offset, num_qubits)
 
     @property
     def level(self) -> int:
@@ -229,16 +247,21 @@ class TreeNode(namedtuple("TreeNode", "offset num_qubits")):
 
     @property
     def left(self) -> "TreeNode | None":
-        return None if self.is_leaf else TreeNode(self.offset, self.num_qubits // 2)
+        return None if self.is_leaf else _node(self.offset, self.num_qubits // 2)
 
     @property
     def right(self) -> "TreeNode | None":
         half = self.num_qubits // 2
-        return None if self.is_leaf else TreeNode(self.offset + half, half)
+        return None if self.is_leaf else _node(self.offset + half, half)
 
     @property
     def content(self) -> tuple[tuple[int, int], ...]:  # (twice_j, multiplicity), descending J
         return _content(self.num_qubits)
+
+
+def _node(offset: int, num_qubits: int) -> TreeNode:
+    """A node without the check, for the blocks of a checked tree or node."""
+    return tuple.__new__(TreeNode, (offset, num_qubits))
 
 
 class CouplingTree(_CheckedRecord, namedtuple("CouplingTree", "num_qubits")):
@@ -257,12 +280,12 @@ class CouplingTree(_CheckedRecord, namedtuple("CouplingTree", "num_qubits")):
 
     @property
     def root(self) -> TreeNode:
-        return TreeNode(0, self.num_qubits)
+        return _node(0, self.num_qubits)
 
     def nodes_at_level(self, level: int) -> list[TreeNode]:
         """Blocks of 2^level qubits, left to right."""
         size = 1 << _as_integer("level", level, range(self.levels + 1))
-        return [TreeNode(offset, size) for offset in range(0, self.num_qubits, size)]
+        return [_node(offset, size) for offset in range(0, self.num_qubits, size)]
 
     def root_content(self) -> list[tuple[SpinLabel, int]]:
         """Total spins of the whole register with multiplicities, descending J."""

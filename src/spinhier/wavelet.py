@@ -113,6 +113,8 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
 
     Returns a new array; the decomposition is never written to.  The levels
     write by turns into the output and one spare array of half its length.
+    A decomposition that no :func:`pyramid_forward` call gives, one whose
+    total length is not a power of two, raises ValueError as that call would.
     """
     approx, *bands = [_as_real(band, "bands", one_dimensional=True) for band in
                       (decomposition.approximation, *reversed(decomposition.details))]
@@ -121,6 +123,7 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
         if len(high) != size:
             raise ValueError(f"detail length {len(high)} does not match approximation {size}")
         size *= 2
+    _check_levels(size, len(bands))
     if not bands:
         return approx.copy()
     scratch = np.empty(size // 2)

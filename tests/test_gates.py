@@ -124,6 +124,22 @@ def test_gate_functions_refuse_non_finite_entries(call, name, value):
         call()
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: gates.unitarity_defect(np.zeros((0, 0))), "u"),
+    (lambda: gates.gate_fidelity(np.zeros((0, 0)), np.zeros((0, 0))), "u"),
+    (lambda: gates.gate_fidelity(np.eye(1), np.zeros((0, 0), complex)), "v"),
+    (lambda: gates.to_multiplet(np.empty((0, 0)), np.eye(1)), "op"),
+    (lambda: gates.to_multiplet(np.eye(1), np.zeros((0, 0))), "a"),
+], ids=["defect-empty", "fidelity-empty", "fidelity-v-empty", "multiplet-empty",
+        "multiplet-basis-empty"])
+def test_gate_functions_refuse_empty_matrices(call, name):
+    # before the check: a fidelity of nan with a RuntimeWarning, and numpy's
+    # unnamed "zero-size array to reduction operation maximum" from the defect
+    with pytest.raises(ValueError, match=f"^{name} must not be empty, got shape "
+                                         r"\(0, 0\)$"):
+        call()
+
+
 def test_to_multiplet_names_a_singular_basis():
     # before: numpy's LinAlgError "Singular matrix", which names no argument
     with pytest.raises(ValueError, match="^a must be invertible, got a singular matrix$") as error:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinhier import hierarchy as hi
 from spinhier import register
@@ -627,3 +629,97 @@ def test_reduce_diagonal_matches_amplitude_sums():
             if (st.path[-1],) == label.spins and st.terminal.twice_m == label.twice_m
         )
         assert rho[pos, pos].real == pytest.approx(expected, abs=1e-12)
+
+
+# ------------------------------------------- amplitudes of the last state held
+
+def _descent(state, tree):
+    """``analyze_state``, then ``reduce_to_level`` at every level: the
+    hierarchic descent of one state."""
+    return (hi.analyze_state(state, tree),
+            *(hi.reduce_to_level(state, tree, level) for level in range(tree.levels + 1)))
+
+
+def _random_unit_state(seed, num_qubits):
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(2 ** num_qubits) + 1j * rng.standard_normal(2 ** num_qubits)
+    return state / np.linalg.norm(state)
+
+
+def test_descent_of_one_state_applies_the_transform_once():
+    tree = hi.build_coupling_tree(8)
+    state = _random_unit_state(29, 8)
+    hi._amplitudes_of.cache_clear()
+    _descent(state, tree)
+    info = hi._amplitudes_of.cache_info()
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 4, 1, 1)
+    # an equal state in another array is a hit too
+    _descent(state.copy(), tree)
+    info = hi._amplitudes_of.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+def test_a_state_written_in_place_is_computed_again():
+    tree = hi.build_coupling_tree(4)
+    state = _random_unit_state(31, 4)
+    before = hi.analyze_state(state, tree)
+    state[:] = 0.0
+    state[-1] = 1.0  # all up: every weight in V_M
+    after = hi.analyze_state(state, tree)
+    assert after != before
+    assert after == hi.LadderProfile((0.0, 0.0), 1.0)
+    rho, labels = hi.reduce_to_level(state, tree, 2)
+    top = labels.index(hi.LevelLabel((SpinLabel(4),), 4))
+    assert rho[top, top] == 1.0 and np.count_nonzero(rho) == 1
+
+
+def test_held_amplitudes_are_read_only():
+    tree = hi.build_coupling_tree(2)
+    state = _random_unit_state(37, 2)
+    amplitudes = hi._unit_amplitudes(state, tree)
+    assert not amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        amplitudes[0] = 0.0
+    assert hi._unit_amplitudes(state, tree) is amplitudes
+
+
+def test_a_refused_state_is_refused_on_every_call():
+    tree = hi.build_coupling_tree(2)
+    state = np.array([2.0, 0.0, 0.0, 0.0])
+    message = "^state norm 2.0 deviates from 1 by more than 1e-06$"
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            hi.analyze_state(state, tree)
+        for level in range(tree.levels + 1):
+            with pytest.raises(ValueError, match=message):
+                hi.reduce_to_level(state, tree, level)
+    # the level is checked first, then the state's shape, then its norm
+    with pytest.raises(ValueError, match="^level must be in 0..1, got 2$"):
+        hi.reduce_to_level(state, tree, 2)
+    with pytest.raises(ValueError, match="^state has 2 amplitudes, tree expects 4$"):
+        hi.reduce_to_level(state[:2] * 9, tree, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 4, 8)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("complex", "real", "strided")))
+def test_held_amplitudes_give_the_uncached_outputs_bit_for_bit(num_qubits, seed, layout):
+    tree = hi.build_coupling_tree(num_qubits)
+    state = _random_unit_state(seed, num_qubits)
+    if layout == "real":
+        state = state.real / np.linalg.norm(state.real)
+    elif layout == "strided":
+        state = np.repeat(state, 2)[::2]
+    assert np.array_equal(hi._unit_amplitudes(state, tree).view(float),
+                          hi._apply_transform(state.astype(complex), num_qubits).view(float))
+    cached = _descent(state, tree)
+    uncached = []
+    for call in (lambda: hi.analyze_state(state, tree),
+                 *(lambda level=level: hi.reduce_to_level(state, tree, level)
+                   for level in range(tree.levels + 1))):
+        hi._amplitudes_of.cache_clear()
+        uncached.append(call())
+    assert cached[0] == uncached[0]
+    for (rho, labels), (fresh_rho, fresh_labels) in zip(cached[1:], uncached[1:]):
+        assert labels == fresh_labels
+        assert rho.tobytes() == fresh_rho.tobytes()

@@ -69,7 +69,7 @@ def test_records_are_immutable_named_tuples(record):
 def test_records_equal_the_plain_tuple_of_their_values():
     assert SpinLabel(4) == CouplingTree(4) == (4,)
     assert hash(SpinLabel(4)) == hash(CouplingTree(4)) == hash((4,))
-    assert MultipletLabel(2, 0) == TreeNode(2, 0) == (2, 0)
+    assert MultipletLabel(2, 2) == TreeNode(2, 2) == (2, 2)
     assert sorted([SpinLabel(3), SpinLabel(1)]) == [SpinLabel(1), SpinLabel(3)]
     assert MultipletLabel(1, 1) < MultipletLabel(3, -1)
     assert ladder_dimensions(1) == LadderDimensions((4, 3), (1,))
@@ -82,6 +82,12 @@ CHECKED = {
     "MultipletLabel-parity": (MultipletLabel(2, 0), {"twice_m": 1}),
     "MultipletLabel-range": (MultipletLabel(2, 0), {"twice_m": 4}),
     "MultipletLabel-j": (MultipletLabel(2, 0), {"twice_j": -2}),
+    "TreeNode-size": (TreeNode(0, 2), {"num_qubits": 3}),
+    "TreeNode-empty": (TreeNode(0, 2), {"num_qubits": 0}),
+    "TreeNode-misaligned": (TreeNode(0, 2), {"offset": 1}),
+    "TreeNode-negative": (TreeNode(0, 2), {"offset": -2}),
+    "TreeNode-str": (TreeNode(0, 1), {"offset": "a"}),
+    "TreeNode-bool": (TreeNode(0, 1), {"num_qubits": True}),
     "CouplingTree-size": (CouplingTree(8), {"num_qubits": 6}),
     "CouplingTree-bool": (CouplingTree(8), {"num_qubits": True}),
     "DotParameters-d": (GAAS, {"d": -1.0}),
@@ -100,6 +106,35 @@ def test_replace_checks_a_field_as_the_constructor_does(record, changes):
         record._replace(**changes)
     with pytest.raises(type(built.value), match=message):
         type(record)._make({**record._asdict(), **changes}.values())
+
+
+@pytest.mark.parametrize("offset,num_qubits,message", [
+    (0, 3, "node size must be a power of two in 1..4096, got 3"),
+    (0, 0, "node size must be a power of two in 1..4096, got 0"),
+    (0, 8192, "node size must be a power of two in 1..4096, got 8192"),
+    (1, 2, "offset must be a non-negative multiple of num_qubits = 2, got 1"),
+    (-2, 2, "offset must be a non-negative multiple of num_qubits = 2, got -2"),
+    ("a", 1, "offset must be an integer, got 'a'"),
+    (True, 1, "offset must be an integer, got True"),
+    (0, True, "num_qubits must be an integer, got True"),
+])
+def test_tree_node_refuses_a_block_no_tree_has(offset, num_qubits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TreeNode(offset, num_qubits)
+
+
+def test_tree_nodes_are_the_blocks_of_their_tree():
+    tree = CouplingTree(8)
+    assert TreeNode(np.int64(4), np.int64(2)) == tree.nodes_at_level(1)[2]
+    assert type(TreeNode(np.int64(4), 2).offset) is int
+    for level in range(tree.levels + 1):
+        for node in tree.nodes_at_level(level):
+            assert TreeNode(*node) == node and type(node) is TreeNode
+            if not node.is_leaf:
+                assert (node.left, node.right) == (TreeNode(node.offset, node.num_qubits // 2),
+                                                   TreeNode(node.offset + node.num_qubits // 2,
+                                                            node.num_qubits // 2))
+    assert tree.root == TreeNode(0, 8)
 
 
 def test_replace_and_make_keep_the_checked_values():

@@ -82,6 +82,20 @@ def test_inverse_shape_mismatch():
         wv.pyramid_inverse(bad)
 
 
+@pytest.mark.parametrize("approximation,details,length", [
+    (np.ones(3), (np.ones(3),), 6),
+    (np.ones(3), (), 3),
+    (np.ones(0), (), 0),
+], ids=["six-samples", "three-samples", "empty"])
+def test_inverse_refuses_what_no_forward_call_gives(approximation, details, length):
+    # before the check: 6 samples, 3 samples and an empty array
+    bad = wv.PyramidDecomposition(approximation, details)
+    with pytest.raises(ValueError, match=f"^signal length must be a power of two, got {length}$"):
+        wv.pyramid_inverse(bad)
+    with pytest.raises(ValueError, match=f"^signal length must be a power of two, got {length}$"):
+        wv.pyramid_forward(np.ones(length), len(details))
+
+
 def test_inverse_rejects_bands_that_are_not_one_dimensional():
     for bad in (wv.PyramidDecomposition(np.ones((2, 2)), (np.ones((2, 2)),)),
                 wv.PyramidDecomposition(np.ones(2), (np.ones((2, 1)),)),
