@@ -220,7 +220,8 @@ class TreeNode(_CheckedRecord, namedtuple("TreeNode", "offset num_qubits")):
     """One block of the coupling tree: qubits [offset, offset + num_qubits).
 
     A block is a power of two in 1..``MAX_TREE_QUBITS`` qubits at a
-    non-negative multiple of its size, as in every tree.
+    non-negative multiple of its size that ends by qubit ``MAX_TREE_QUBITS``,
+    as in every tree.
     """
 
     __slots__ = ()
@@ -234,7 +235,10 @@ class TreeNode(_CheckedRecord, namedtuple("TreeNode", "offset num_qubits")):
             raise ValueError(
                 f"offset must be a non-negative multiple of num_qubits = {num_qubits}, "
                 f"got {offset}")
-        return _node(offset, num_qubits)
+        if offset + num_qubits > MAX_TREE_QUBITS:
+            raise ValueError(f"offset + num_qubits must be at most {MAX_TREE_QUBITS}, "
+                             f"got {offset + num_qubits}")
+        return tuple.__new__(cls, (offset, num_qubits))
 
     @property
     def level(self) -> int:
@@ -247,21 +251,16 @@ class TreeNode(_CheckedRecord, namedtuple("TreeNode", "offset num_qubits")):
 
     @property
     def left(self) -> "TreeNode | None":
-        return None if self.is_leaf else _node(self.offset, self.num_qubits // 2)
+        return None if self.is_leaf else TreeNode(self.offset, self.num_qubits // 2)
 
     @property
     def right(self) -> "TreeNode | None":
         half = self.num_qubits // 2
-        return None if self.is_leaf else _node(self.offset + half, half)
+        return None if self.is_leaf else TreeNode(self.offset + half, half)
 
     @property
     def content(self) -> tuple[tuple[int, int], ...]:  # (twice_j, multiplicity), descending J
         return _content(self.num_qubits)
-
-
-def _node(offset: int, num_qubits: int) -> TreeNode:
-    """A node without the check, for the blocks of a checked tree or node."""
-    return tuple.__new__(TreeNode, (offset, num_qubits))
 
 
 class CouplingTree(_CheckedRecord, namedtuple("CouplingTree", "num_qubits")):
@@ -280,12 +279,12 @@ class CouplingTree(_CheckedRecord, namedtuple("CouplingTree", "num_qubits")):
 
     @property
     def root(self) -> TreeNode:
-        return _node(0, self.num_qubits)
+        return TreeNode(0, self.num_qubits)
 
     def nodes_at_level(self, level: int) -> list[TreeNode]:
         """Blocks of 2^level qubits, left to right."""
         size = 1 << _as_integer("level", level, range(self.levels + 1))
-        return [_node(offset, size) for offset in range(0, self.num_qubits, size)]
+        return [TreeNode(offset, size) for offset in range(0, self.num_qubits, size)]
 
     def root_content(self) -> list[tuple[SpinLabel, int]]:
         """Total spins of the whole register with multiplicities, descending J."""

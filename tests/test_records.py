@@ -88,6 +88,7 @@ CHECKED = {
     "TreeNode-negative": (TreeNode(0, 2), {"offset": -2}),
     "TreeNode-str": (TreeNode(0, 1), {"offset": "a"}),
     "TreeNode-bool": (TreeNode(0, 1), {"num_qubits": True}),
+    "TreeNode-beyond": (TreeNode(2048, 2048), {"offset": 4096}),
     "CouplingTree-size": (CouplingTree(8), {"num_qubits": 6}),
     "CouplingTree-bool": (CouplingTree(8), {"num_qubits": True}),
     "DotParameters-d": (GAAS, {"d": -1.0}),
@@ -117,6 +118,9 @@ def test_replace_checks_a_field_as_the_constructor_does(record, changes):
     ("a", 1, "offset must be an integer, got 'a'"),
     (True, 1, "offset must be an integer, got True"),
     (0, True, "num_qubits must be an integer, got True"),
+    (4096, 4096, "offset + num_qubits must be at most 4096, got 8192"),
+    (8192, 1, "offset + num_qubits must be at most 4096, got 8193"),
+    (4095, 2, "offset must be a non-negative multiple of num_qubits = 2, got 4095"),
 ])
 def test_tree_node_refuses_a_block_no_tree_has(offset, num_qubits, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
