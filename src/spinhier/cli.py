@@ -62,22 +62,6 @@ def _complex_pairs(pairs, name: str):
         raise ValueError(f"{name} must be a list of [re, im] number pairs") from None
 
 
-def parse_matrix(text: str):
-    """Inverse of :func:`serialize_matrix`, as a complex numpy array."""
-    import numpy as np
-
-    rows = json.loads(text)
-    if not isinstance(rows, list):
-        raise ValueError("matrix must be a list of rows of [re, im] number pairs")
-    rows = [_complex_pairs(row, "matrix row") for row in rows]
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("matrix rows must have equal length")
-    matrix = np.array(rows)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    return matrix
-
-
 def _parse_amplitudes(text: str):
     try:
         doc = json.loads(text)

@@ -306,6 +306,9 @@ def _apply_transform(vector: np.ndarray, num_qubits: int, inverse: bool = False)
     """U^T v, the hierarchic amplitudes of v, or with ``inverse`` U v: the
     real U applied to each part of the complex v, so U is never made complex.
     The one apply of the transform; callers check the register size."""
+    # One 256 x 2 real product on the (re, im) columns of v was measured: it moved
+    # the forward amplitudes by up to 6.0e-16, which would change the bytes the
+    # CLI `transform` prints, so the apply keeps two matrix-vector products.
     matrix = _transform(num_qubits) if inverse else _transform(num_qubits).T
     return matrix @ vector.real + 1j * (matrix @ vector.imag)
 
@@ -408,10 +411,24 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     carrying each label.  Returns ``(rho, labels)`` with labels in canonical
     order.
 
-    The amplitudes are scattered into a (fine part x coarse label) array A,
-    so rho = A^T A^*.
+    With the amplitudes scattered into a (fine part x coarse label) array
+    A = X + iY, rho = A^T A^* has real part X^T X + Y^T Y and imaginary part
+    Y^T X - X^T Y.  Both come from one real product (a dgemm): [X; Y]^T times
+    the (2 num_fine x 2L) array whose columns alternate [X; Y] and [-Y; X],
+    read as L x L complex.  Its inner dimension is 2 num_fine, where a complex
+    A^T A^* (a zgemm) has num_fine, which is 1 at levels 0 and 1; BLAS runs
+    that shape slowly.  For the 256 x 256 rho of 8 qubits at level 1 the
+    complex product took 148 us and the real one 67 us (one thread, OpenBLAS
+    0.3.31, a 2-vCPU x86-64 host).
     """
     groups = _level_groups(tree, level)
-    scattered = np.zeros((groups.num_fine, len(groups.labels)), dtype=complex)
-    scattered[groups.fine_id, groups.label_id] = _unit_amplitudes(state, tree)
-    return scattered.T @ scattered.conj(), list(groups.labels)
+    amplitudes = _unit_amplitudes(state, tree)
+    num_fine, num_labels = groups.num_fine, len(groups.labels)
+    parts = np.zeros((2, num_fine, num_labels))  # X over Y
+    parts[:, groups.fine_id, groups.label_id] = amplitudes.view(float).reshape(-1, 2).T
+    rotated = np.empty((2, num_fine, num_labels, 2))  # each label's [X; Y], then [-Y; X]
+    rotated[..., 0] = parts
+    np.negative(parts[1], out=rotated[0, ..., 1])
+    rotated[1, ..., 1] = parts[0]
+    rho = parts.reshape(2 * num_fine, num_labels).T @ rotated.reshape(2 * num_fine, -1)
+    return rho.view(complex), list(groups.labels)

@@ -139,3 +139,35 @@ def test_conditioned_operator_matches_oracle(num_qubits, seed, data):
         want[np.ix_(indices, indices)] = blocks[label]
     assert np.array_equal(hi.conditioned_operator(tree, level, blocks), want)
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("complex", "real", "strided")))
+def test_reduce_matches_the_complex_product_of_the_scattered_amplitudes(num_qubits, seed,
+                                                                        layout):
+    """rho from the real product against A^T A^* of the scattered amplitudes A."""
+    tree = hi.build_coupling_tree(num_qubits)
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal(2 ** num_qubits)
+    if layout != "real":
+        state = state + 1j * rng.standard_normal(2 ** num_qubits)
+    state /= np.linalg.norm(state)
+    if layout == "strided":
+        state = np.repeat(state, 2)[::2]
+    amplitudes = hi._apply_transform(state.astype(complex), num_qubits)
+    for level in range(tree.levels + 1):
+        rho, labels = hi.reduce_to_level(state, tree, level)
+        assert labels == _labels_oracle(tree, level)
+        split = _split(tree, level)
+        label_pos = {label: n for n, label in enumerate(labels)}
+        fine_pos = {}
+        rows = [fine_pos.setdefault(fine, len(fine_pos)) for _, fine in split]
+        columns = [label_pos[label] for label, _ in split]
+        scattered = np.zeros((len(fine_pos), len(labels)), dtype=complex)
+        scattered[rows, columns] = amplitudes
+        assert np.max(np.abs(rho - scattered.T @ scattered.conj())) <= 1e-15
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+        weights = np.bincount(columns, weights=np.abs(amplitudes) ** 2, minlength=len(labels))
+        assert np.max(np.abs(np.diag(rho) - weights)) <= 1e-15
+        if layout == "real":
+            assert np.all(rho.imag == 0.0)
