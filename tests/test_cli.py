@@ -98,6 +98,22 @@ def test_serialize_matrix_rejects_non_finite():
         cli.serialize_matrix([1.0, 2.0])
 
 
+@pytest.mark.parametrize("text", [
+    "[[true,false]]",
+    "[1,2]",
+    "[[1,2,3]]",
+    "5",
+    "[[1" + "0" * 400 + ",0]]",
+    '{"amplitudes": 5}',
+    '[[1,0],[null,0]]',
+    '[[1,0],[0,"x"]]',
+], ids=["bools", "bare-numbers", "triples", "not-a-list", "huge-int", "amplitudes-not-a-list",
+        "null", "string"])
+def test_parse_amplitudes_refuses_entries_that_are_not_number_pairs(text):
+    with pytest.raises(ValueError, match=r"^state must be a list of \[re, im\] number pairs$"):
+        cli._parse_amplitudes(text)
+
+
 def test_transform_round_trip(tmp_path, capsys):
     rng = np.random.default_rng(1)
     state = rng.standard_normal(4) + 1j * rng.standard_normal(4)
