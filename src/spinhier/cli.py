@@ -39,30 +39,11 @@ def _dumps(document) -> str:
     return json.dumps(document, separators=(",", ":"))
 
 
-def serialize_matrix(matrix) -> str:
-    """Complex matrix as JSON rows of [re, im] pairs; round-trips bit-exactly."""
-    import numpy as np
-
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
-    return _dumps(_payload(matrix))
-
-
-def _complex_pairs(pairs, name: str):
-    """Complex numpy vector of a list of [re, im] number pairs; anything else,
-    bools included, raises ValueError naming ``name``."""
-    import numpy as np
-
-    try:
-        if any(type(x) is bool for pair in pairs for x in pair):
-            raise TypeError
-        return np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a list of [re, im] number pairs") from None
-
-
 def _parse_amplitudes(text: str):
+    """Complex numpy vector of a JSON state, [[re, im], ...] or {"amplitudes": ...};
+    an entry that is not a number pair, bools included, raises ValueError."""
+    import numpy as np
+
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -71,7 +52,22 @@ def _parse_amplitudes(text: str):
         if "amplitudes" not in doc:
             raise ValueError('state object has no "amplitudes" key')
         doc = doc["amplitudes"]
-    return _complex_pairs(doc, "state")
+    try:
+        if any(type(x) is bool for pair in doc for x in pair):
+            raise TypeError
+        return np.array([complex(re, im) for re, im in doc])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("state must be a list of [re, im] number pairs") from None
+
+
+def _read_state(args):
+    """The coupling tree of ``--qubits`` and the state of ``--in``, in that
+    order: a register above the dense size is refused before the input is read."""
+    from . import hierarchy
+
+    tree = hierarchy.build_coupling_tree(args.qubits)
+    hierarchy._check_dense(tree.num_qubits)
+    return tree, _parse_amplitudes(_read_text(args.infile))
 
 
 def _spin_value(twice_j: int):
@@ -79,22 +75,22 @@ def _spin_value(twice_j: int):
 
 
 def _parse_area(text: str) -> float:
-    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float."""
+    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float; any other
+    spelling raises ValueError quoting ``text``."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
-    if "pi" not in cleaned:
-        return float(cleaned)
-    head, _, tail = cleaned.partition("pi")
-    value = math.pi
-    if head:
-        value *= float(head + "1" if head in ("+", "-") else head)
-    if tail:
-        if not tail.startswith("/"):
-            raise ValueError(f"cannot parse area {text!r}")
-        divisor = float(tail[1:])
-        if divisor == 0.0:
-            raise ValueError(f"area {text!r} divides by zero")
-        value /= divisor
-    return value
+    head, pi, tail = cleaned.partition("pi")
+    try:
+        if not pi:
+            return float(cleaned)
+        if tail[:1] not in ("", "/"):
+            raise ValueError
+        value = math.pi * float(head + "1" if head in ("", "+", "-") else head)
+        divisor = float(tail[1:]) if tail else 1.0
+    except ValueError:
+        raise ValueError(f"cannot parse area {text!r}") from None
+    if divisor == 0.0:
+        raise ValueError(f"area {text!r} divides by zero")
+    return value / divisor
 
 
 def _read_text(path: str) -> str:
@@ -135,9 +131,8 @@ def _cmd_transform(args) -> None:
     import numpy as np
     from . import hierarchy
 
-    tree = hierarchy.build_coupling_tree(args.qubits)
-    states = hierarchy.multiplet_basis_states(tree)  # refuses a register above dense size
-    amplitudes = hierarchy._check_state(_parse_amplitudes(_read_text(args.infile)), tree)
+    tree, amplitudes = _read_state(args)
+    amplitudes = hierarchy._check_state(amplitudes, tree)
     # A linear map: any finite vector is accepted, normalized or not.
     register._check_all(np.isfinite(amplitudes), amplitudes, "state amplitudes must be finite")
     # an overflow gives inf or nan, which _payload rejects
@@ -156,7 +151,7 @@ def _cmd_transform(args) -> None:
                 "J": _spin_value(st.terminal.twice_j),
                 "M": st.terminal.twice_m / 2,
             }
-            for st in states
+            for st in hierarchy.multiplet_basis_states(tree)
         ],
     }
     print(_dumps(doc))
@@ -165,9 +160,7 @@ def _cmd_transform(args) -> None:
 def _cmd_analyze(args) -> None:
     from . import hierarchy
 
-    tree = hierarchy.build_coupling_tree(args.qubits)
-    hierarchy._check_dense(tree.num_qubits)  # the size error comes before the input's
-    state = _parse_amplitudes(_read_text(args.infile))
+    tree, state = _read_state(args)
     profile = hierarchy.analyze_state(state, tree)
     doc = {"W": list(profile.detail_weights), "VM": profile.final_weight}
     print(_dumps(doc))
@@ -187,7 +180,7 @@ def _cmd_gate(args) -> None:
     if args.basis == "multiplet":
         pair_basis = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
         matrix = gates.to_multiplet(matrix, pair_basis)
-    print(serialize_matrix(matrix))
+    print(_dumps(_payload(matrix)))
 
 
 # A constant pulse gives the same gate at every step count (within 1e-15).
@@ -237,19 +230,18 @@ def _cmd_haar(args) -> None:
 
     values = np.array([float(line) for line in _read_text(args.infile).split()])
     register._check_all(np.isfinite(values), values, "input values must be finite")
-    if args.inverse:
-        n = len(values)
-        offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
-        approx, *details = np.split(values, offsets)  # coarsest detail first
-        decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
-        # an overflow gives inf or nan, which the check below rejects
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow gives inf or nan, which the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.inverse:
+            n = len(values)
+            offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
+            approx, *details = np.split(values, offsets)  # coarsest detail first
+            decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
             out_values = wavelet.pyramid_inverse(decomposition)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+        else:
             decomposition = wavelet.pyramid_forward(values, args.levels)
-        out_values = np.concatenate(  # coarsest detail first
-            [decomposition.approximation, *reversed(decomposition.details)])
+            out_values = np.concatenate(  # coarsest detail first
+                [decomposition.approximation, *reversed(decomposition.details)])
     register._check_all(np.isfinite(out_values), out_values, "result overflows the float range")
     _emit("\n".join(_csv_float(v) for v in out_values) + "\n", args.out)
 

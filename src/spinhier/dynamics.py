@@ -55,10 +55,6 @@ class PulseProfile:
         object.__setattr__(self, "_array", samples)
         object.__setattr__(self, "samples", tuple(samples.tolist()))
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.duration_ns, len(self.samples))
-
     def area(self) -> float:
         """Dimensionless pulse area: trapezoid integral of J over hbar.
 

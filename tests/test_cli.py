@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinhier import cli, dynamics, hierarchy
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
@@ -80,22 +82,41 @@ def test_gate_multiplet_matches_similarity_transform(capsys):
     assert got[3, 3] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_serialize_matrix_round_trip():
-    assert cli.serialize_matrix(np.eye(2)) == "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]"
+def _json(array):
+    """The document the CLI prints for a complex array."""
+    return cli._dumps(cli._payload(array))
+
+
+def test_json_writer_round_trip():
+    assert _json(np.eye(2)) == "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[1.0,0.0]]]"
     # negative zeros are folded to 0.0 in the document
-    assert cli.serialize_matrix([[complex(-0.0, -0.0), -1.0]]) == "[[[0.0,0.0],[-1.0,0.0]]]"
+    assert _json([[complex(-0.0, -0.0), -1.0]]) == "[[[0.0,0.0],[-1.0,0.0]]]"
     pair = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
-    assert np.array_equal(_complex_matrix(cli.serialize_matrix(pair)), pair)
+    assert np.array_equal(_complex_matrix(_json(pair)), pair)
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.array_equal(_complex_matrix(cli.serialize_matrix(matrix)), matrix)
+    assert np.array_equal(_complex_matrix(_json(matrix)), matrix)
 
 
-def test_serialize_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        cli.serialize_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match=r"^expected a 2-d matrix, got shape \(2,\)$"):
-        cli.serialize_matrix([1.0, 2.0])
+def test_json_writer_rejects_non_finite():
+    with pytest.raises(ValueError, match=r"^array contains non-finite entries, got \(nan\+0j\)$"):
+        _json(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+_EDGE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=8))
+@example(parts=[(-0.0, 5e-324), (1e308, -1e308), (-5e-324, -0.0)])
+def test_json_writer_and_state_reader_round_trip(parts):
+    """The state reader inverts the JSON writer bit for bit, -0.0 read back as 0.0."""
+    v = np.array([complex(re, im) for re, im in parts])
+    got = cli._parse_amplitudes(_json(v))
+    assert np.array_equal(got, v)  # -0.0 == 0.0, so the sign is checked apart
+    zeros = np.stack((got.real, got.imag))
+    assert not np.signbit(zeros[zeros == 0]).any()
 
 
 @pytest.mark.parametrize("text", [
@@ -386,6 +407,12 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "error: array contains non-finite entries, got (inf+0j)\n"),
     (["haar", "--in", "{signal}", "--levels", "2"], {"signal": "1e308\n" * 4},
      "error: result overflows the float range, got inf\n"),
+    (["pulse", "--j0", "1.0", "--area=pi/"], {}, "error: cannot parse area 'pi/'\n"),
+    (["pulse", "--j0", "1.0", "--area=.pi"], {}, "error: cannot parse area '.pi'\n"),
+    (["pulse", "--j0", "1.0", "--area=pi/2/2"], {}, "error: cannot parse area 'pi/2/2'\n"),
+    (["pulse", "--j0", "1.0", "--area=abc"], {}, "error: cannot parse area 'abc'\n"),
+    (["pulse", "--j0", "1.0", "--area=+-pi"], {}, "error: cannot parse area '+-pi'\n"),
+    (["pulse", "--j0", "1.0", "--area=2pi3"], {}, "error: cannot parse area '2pi3'\n"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -397,7 +424,9 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
         "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes",
         "pulse-j0-nan", "pulse-j0-inf", "transform-size", "analyze-size",
-        "transform-inf-named", "transform-output-overflow", "haar-overflow-named"])
+        "transform-inf-named", "transform-output-overflow", "haar-overflow-named",
+        "area-pi-slash", "area-dot-pi", "area-two-slashes", "area-word", "area-two-signs",
+        "area-digits-after-pi"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

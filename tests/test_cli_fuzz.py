@@ -23,13 +23,15 @@ NUMBERS = st.one_of(
 )
 
 
-def _run(capsys, argv) -> None:
+def _run(capsys, argv) -> str:
+    """The stderr of one call, checked for its shape: "" on exit 0 or an
+    argparse usage error, one ``error:`` line on exit 1."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse usage error
         assert exc.code == 2
         capsys.readouterr()
-        return
+        return ""
     out, err = capsys.readouterr()
     assert code in (0, 1)
     if code == 1:
@@ -37,18 +39,28 @@ def _run(capsys, argv) -> None:
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert err == ""
+    return err
 
 
 AREA_PIECES = st.sampled_from(["pi", "PI", "/", "*", " ", "-", "+", ".", "e", "0", "1",
                                "2", "9", "1e308", "1e-320", "inf", "nan", "x"])
 AREAS = st.one_of(TEXT, st.lists(AREA_PIECES, max_size=8).map("".join))
 
+# The refusals of `pulse --j0 1.0 --area=...` that quote no part of the area.
+PULSE_REFUSALS = tuple(f"error: {start}" for start in (
+    "area must be finite, ", "degenerate pulse: ", "pulse duration must be finite, ",
+    "accumulated pulse angle must be finite, "))
+
 
 @FUZZ
 @given(area=AREAS)
 @example(area="--")
+@example(area="pi/")
+@example(area="-pi/0")
 def test_area_strings(capsys, area):
-    _run(capsys, ["pulse", "--j0", "1.0", f"--area={area}"])
+    err = _run(capsys, ["pulse", "--j0", "1.0", f"--area={area}"])
+    quoting = (f"error: cannot parse area {area!r}\n", f"error: area {area!r} divides by zero\n")
+    assert err in ("", *quoting) or err.startswith(PULSE_REFUSALS), err
 
 
 JSON_VALUES = st.recursive(
