@@ -6,8 +6,8 @@ byte-identical.  JSON documents go to stdout; the CSV subcommands accept
 ``--out`` and default to stdout as well.
 
 numpy and the numerical modules are loaded in the handlers that use them:
-``decompose``, ``ladder``, ``estimates`` and ``constants`` load neither numpy
-nor ``dataclasses``, only ``register``, ``dot_scales`` and ``constants``.
+``decompose``, ``ladder``, ``estimates`` and ``constants`` load no numpy,
+only ``register``, ``dot_scales`` and ``constants``.
 
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.
@@ -75,11 +75,14 @@ def _spin_value(twice_j: int):
 
 
 def _parse_area(text: str) -> float:
-    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float; any other
-    spelling raises ValueError quoting ``text``."""
+    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float, in ASCII with
+    no '_'; any other spelling raises ValueError quoting ``text``."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
     head, pi, tail = cleaned.partition("pi")
     try:
+        # float() would also read '_' separators and non-ASCII digits
+        if not cleaned.isascii() or "_" in cleaned:
+            raise ValueError
         if not pi:
             return float(cleaned)
         if tail[:1] not in ("", "/"):

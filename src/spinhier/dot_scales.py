@@ -1,8 +1,8 @@
 """Material record of a GaAs double quantum dot and its physical scale estimates.
 
-Scalar ``math`` on the pinned constants, so it loads without numpy or
-``dataclasses`` (``estimates`` needs nothing else); ``quantum_dot`` re-exports
-every public name.  Outputs are meV and nm.
+Scalar ``math`` on the pinned constants, so it loads without numpy
+(``estimates`` needs nothing else); ``quantum_dot`` re-exports every public
+name.  Outputs are meV and nm.
 """
 
 from __future__ import annotations

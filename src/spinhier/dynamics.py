@@ -10,13 +10,13 @@ form per segment: the cost is O(len(samples)), independent of the step count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
-from .register import _as_float, _as_integer, _as_real, _check_all
+from .register import _CheckedRecord, _as_float, _as_integer, _as_real, _check_all
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
@@ -26,34 +26,26 @@ TOTAL_SZ = S1Z + S2Z
 MAX_STEPS = 2 ** 53
 
 
-@dataclass(frozen=True)
-class PulseProfile:
+class PulseProfile(_CheckedRecord, namedtuple("PulseProfile", "samples duration_ns")):
     """Exchange coupling J(t) sampled at uniform times over [0, duration].
 
-    ``samples`` are J values in meV, stored as a tuple of floats, so profiles
-    of equal values compare and hash equal; ``duration_ns`` is the pulse length.
-    The pulse area is the trapezoid-rule integral of J divided by hbar.  The
-    float array checked at construction is kept too, as a private read-only
-    copy outside comparison, hashing and repr, so no later call converts the
-    samples again.  That private field is why this is the package's one
-    dataclass, where every other record is a named tuple.
+    ``samples`` are J values in meV, checked once at construction and stored
+    as a tuple of floats, so profiles of equal values compare and hash equal;
+    ``duration_ns`` is the pulse length.  The pulse area is the trapezoid-rule
+    integral of J divided by hbar.
     """
 
-    samples: tuple[float, ...]
-    duration_ns: float
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "duration_ns", _as_float("pulse duration", self.duration_ns))
-        if self.duration_ns <= 0:
-            raise ValueError(f"pulse duration must be positive, got {self.duration_ns}")
-        samples = _as_real(self.samples, "samples", one_dimensional=True).copy()
+    def __new__(cls, samples, duration_ns):
+        duration_ns = _as_float("pulse duration", duration_ns)
+        if duration_ns <= 0:
+            raise ValueError(f"pulse duration must be positive, got {duration_ns}")
+        samples = _as_real(samples, "samples", one_dimensional=True)
         if len(samples) < 2:
             raise ValueError("a pulse needs at least 2 samples")
         _check_all(np.isfinite(samples), samples, "pulse samples must be finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "_array", samples)
-        object.__setattr__(self, "samples", tuple(samples.tolist()))
+        return tuple.__new__(cls, (tuple(samples.tolist()), duration_ns))
 
     def area(self) -> float:
         """Dimensionless pulse area: trapezoid integral of J over hbar.
@@ -123,7 +115,8 @@ def _pulse_angle(profile: PulseProfile, steps: int, name: str) -> float:
     # The sum can overflow (J near the float maximum) and then meet a zero
     # step or an opposite infinity; a non-finite angle is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = _midpoint_sum(profile._array, steps) * (profile.duration_ns / steps) / HBAR_MEV_NS
+        angle = (_midpoint_sum(np.array(profile.samples), steps)
+                 * (profile.duration_ns / steps) / HBAR_MEV_NS)
     return _as_float(name, angle)
 
 

@@ -1,9 +1,9 @@
 """Integer bookkeeping of spin-1/2 registers: spin labels, total-spin content,
 coupling trees and the dimensions of the V/W ladder.
 
-Exact integer arithmetic in plain Python, so it loads without numpy or
-``dataclasses`` (``decompose`` and ``ladder`` need nothing else); ``angular_momentum``
-and ``hierarchy`` re-export every public name.  Angular momenta are stored as
+Exact integer arithmetic in plain Python, so it loads without numpy
+(``decompose`` and ``ladder`` need nothing else); ``angular_momentum`` and
+``hierarchy`` re-export every public name.  Angular momenta are stored as
 twice their value (``twice_j``), so half-integer spins are exact integers.
 The argument contracts of the public API live here too: ``_as_integer``
 checks every integer argument and ``_as_float`` every real scalar one;

@@ -413,6 +413,10 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["pulse", "--j0", "1.0", "--area=abc"], {}, "error: cannot parse area 'abc'\n"),
     (["pulse", "--j0", "1.0", "--area=+-pi"], {}, "error: cannot parse area '+-pi'\n"),
     (["pulse", "--j0", "1.0", "--area=2pi3"], {}, "error: cannot parse area '2pi3'\n"),
+    (["pulse", "--j0", "1.0", "--area=1_0pi"], {}, "error: cannot parse area '1_0pi'\n"),
+    (["pulse", "--j0", "1.0", "--area=pi/1_0"], {}, "error: cannot parse area 'pi/1_0'\n"),
+    (["pulse", "--j0", "1.0", "--area=\u0662pi"], {}, "error: cannot parse area '\u0662pi'\n"),
+    (["pulse", "--j0", "1.0", "--area=1_0"], {}, "error: cannot parse area '1_0'\n"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -426,7 +430,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "pulse-j0-nan", "pulse-j0-inf", "transform-size", "analyze-size",
         "transform-inf-named", "transform-output-overflow", "haar-overflow-named",
         "area-pi-slash", "area-dot-pi", "area-two-slashes", "area-word", "area-two-signs",
-        "area-digits-after-pi"])
+        "area-digits-after-pi", "area-underscore-pi", "area-underscore-divisor",
+        "area-arabic-indic-digit", "area-underscore"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():

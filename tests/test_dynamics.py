@@ -1,6 +1,5 @@
 """Exchange Hamiltonians, Zeeman splitting, and pulse evolution."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -101,7 +100,7 @@ def test_pulse_profiles_of_equal_samples_evolve_alike_whatever_they_were_built_f
     assert dynamics.evolve_pulse(profiles[0], 1024).tobytes() == unitary.tobytes()
     assert profiles[0].area() == area
     triangle = dynamics.PulseProfile((0.0, 1.0, 0.25), 2.0)
-    replaced = dataclasses.replace(profiles[0], samples=[0.0, 1.0, 0.25])
+    replaced = profiles[0]._replace(samples=[0.0, 1.0, 0.25])
     assert replaced == triangle and repr(replaced) == repr(triangle)
     assert dynamics.evolve_pulse(replaced, 7).tobytes() == \
         dynamics.evolve_pulse(triangle, 7).tobytes()

@@ -10,7 +10,6 @@ float array would."""
 
 import argparse
 import contextlib
-import dataclasses
 import datetime
 import io
 import math
@@ -137,8 +136,6 @@ def _same(a, b):
     """Equal values of the same types, down to each float."""
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and _same(dataclasses.astuple(a), dataclasses.astuple(b))
     if isinstance(a, (list, tuple)):
         return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and a == b

@@ -7,13 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from spinhier import hierarchy, quantum_dot, wavelet
+from spinhier import dynamics, hierarchy, quantum_dot, wavelet
 from spinhier.register import (
     CouplingTree, InvalidLabelError, LadderDimensions, MultipletLabel, SpinLabel, TreeNode,
     ladder_dimensions,
 )
 
 GAAS = quantum_dot.DotParameters.gaas()
+TRIANGLE = dynamics.PulseProfile((0.0, 1.0, 0.25), 2.0)
 
 # Each record with the repr its dataclass form gave.
 REPRS = [
@@ -46,6 +47,8 @@ REPRS = [
      "-2.82842712]), array([-5.])))"),
     (quantum_dot.exchange_at_field(GAAS, 1.5),
      "ExchangeResult(b=1.0, c=1.5, j_mev=1.5528038096869716)"),
+    (dynamics.PulseProfile(samples=(0.0, 1.0, 0.25), duration_ns=2.0),
+     "PulseProfile(samples=(0.0, 1.0, 0.25), duration_ns=2.0)"),
 ]
 RECORDS = [record for record, _ in REPRS]
 NAMES = [type(record).__name__ for record in RECORDS]
@@ -95,6 +98,10 @@ CHECKED = {
     "DotParameters-nan": (GAAS, {"b_field": float("nan")}),
     "DotParameters-complex": (GAAS, {"g": 1j}),
     "DotParameters-epsilon": (GAAS, {"epsilon": 0.5}),
+    "PulseProfile-one-sample": (TRIANGLE, {"samples": [1.0]}),
+    "PulseProfile-duration": (TRIANGLE, {"duration_ns": 0.0}),
+    "PulseProfile-nan": (TRIANGLE, {"samples": [1.0, float("nan")]}),
+    "PulseProfile-complex": (TRIANGLE, {"samples": [1j, 1.0]}),
 }
 
 
@@ -148,5 +155,8 @@ def test_replace_and_make_keep_the_checked_values():
     assert replaced == quantum_dot.DotParameters.gaas(d=0.5, b_field=2.0)
     assert all(type(value) is float for value in replaced)
     assert MultipletLabel._make([3, -1]) == MultipletLabel(3, -1)
+    replaced = TRIANGLE._replace(samples=np.array([0, 1, 0.25]))
+    assert replaced == TRIANGLE and type(replaced.samples) is tuple
+    assert all(type(value) is float for value in replaced.samples)
     with pytest.raises(InvalidLabelError, match="^twice_j must be non-negative, got -1$"):
         SpinLabel._make([-1])
