@@ -10,9 +10,8 @@ loads nothing else:
 - ``hierarchy``: the hierarchic unitary, ladder profiles and projectors
 - ``gates``: two-qubit gate constants, multiplet-basis conversion, exchange XOR
 - ``dynamics``: Heisenberg/Zeeman Hamiltonians and exchange-pulse evolution
-- ``dot_scales``: the double-dot parameter record and physical scale
-  estimates; no numpy
-- ``quantum_dot``: GaAs double-dot exchange coupling
+- ``quantum_dot``: the GaAs double-dot parameter record, its physical scale
+  estimates and exchange coupling; numpy is loaded by its array functions only
 - ``wavelet``: classical Haar pyramid baseline
 - ``constants``: the pinned physical constants
 - ``cli``: batch command line emitting JSON/CSV
@@ -23,7 +22,6 @@ from importlib import import_module
 __all__ = [
     "angular_momentum",
     "constants",
-    "dot_scales",
     "dynamics",
     "gates",
     "hierarchy",

@@ -7,7 +7,9 @@ byte-identical.  JSON documents go to stdout; the CSV subcommands accept
 
 numpy and the numerical modules are loaded in the handlers that use them:
 ``decompose``, ``ladder``, ``estimates`` and ``constants`` load no numpy,
-only ``register``, ``dot_scales`` and ``constants``.
+only ``register``, ``constants`` and, for ``estimates``, the scalar
+functions of ``quantum_dot``.  Every number, in an option or an input line,
+is ASCII with no '_'.
 
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.
@@ -21,7 +23,7 @@ import math
 import sys
 
 from . import constants as const
-from . import dot_scales, register
+from . import register
 
 CANONICAL_ORDER = "descending terminal J, ascending M, lexicographic path"
 
@@ -48,6 +50,8 @@ def _parse_amplitudes(text: str):
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("state JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"state is not valid JSON: {exc}") from None
     if isinstance(doc, dict):
         if "amplitudes" not in doc:
             raise ValueError('state object has no "amplitudes" key')
@@ -74,15 +78,37 @@ def _spin_value(twice_j: int):
     return twice_j // 2 if twice_j % 2 == 0 else twice_j / 2
 
 
+def _plain_number(text: str) -> str:
+    """``text`` if it is ASCII with no '_'; int() and float() would also read
+    '_' separators and non-ASCII digits.  ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError
+    return text
+
+
+def _int(text: str) -> int:
+    return int(_plain_number(text))
+
+
+def _float(text: str) -> float:
+    """float() of a plain number; other text raises ValueError quoting it."""
+    try:
+        return float(_plain_number(text))
+    except ValueError:
+        raise ValueError(f"cannot parse value {text!r}") from None
+
+
+# argparse names the type in its refusal: "invalid int value: '1_6'"
+_int.__name__, _float.__name__ = "int", "float"
+
+
 def _parse_area(text: str) -> float:
-    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float, in ASCII with
-    no '_'; any other spelling raises ValueError quoting ``text``."""
+    """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float, each number a
+    plain one; any other spelling raises ValueError quoting ``text``."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
     head, pi, tail = cleaned.partition("pi")
     try:
-        # float() would also read '_' separators and non-ASCII digits
-        if not cleaned.isascii() or "_" in cleaned:
-            raise ValueError
+        _plain_number(cleaned)
         if not pi:
             return float(cleaned)
         if tail[:1] not in ("", "/"):
@@ -92,13 +118,18 @@ def _parse_area(text: str) -> float:
     except ValueError:
         raise ValueError(f"cannot parse area {text!r}") from None
     if divisor == 0.0:
+        if any(digit in "123456789" for digit in tail.partition("e")[0]):
+            raise ValueError(f"area {text!r} has a divisor that underflows to 0.0")
         raise ValueError(f"area {text!r} divides by zero")
     return value / divisor
 
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -231,7 +262,7 @@ def _cmd_haar(args) -> None:
     import numpy as np
     from . import wavelet
 
-    values = np.array([float(line) for line in _read_text(args.infile).split()])
+    values = np.array([_float(line) for line in _read_text(args.infile).split()])
     register._check_all(np.isfinite(values), values, "input values must be finite")
     # an overflow gives inf or nan, which the check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -250,11 +281,13 @@ def _cmd_haar(args) -> None:
 
 
 def _cmd_estimates(args) -> None:
-    params = dot_scales.DotParameters(
+    from . import quantum_dot
+
+    params = quantum_dot.DotParameters(
         g=args.g, hbar_omega0=args.hbar_omega0, mass_ratio=args.mass_ratio,
         epsilon=args.epsilon, d=args.d,
     )
-    est = dot_scales.physical_estimates(params)
+    est = quantum_dot.physical_estimates(params)
     doc = {
         "a_B_nm": est.a_b_nm,
         "spin_orbit_ratio": est.spin_orbit_ratio,
@@ -278,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="total-spin content of a register")
-    p.add_argument("--qubits", type=int, required=True, help="register size, 1..4096")
+    p.add_argument("--qubits", type=_int, required=True, help="register size, 1..4096")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("ladder", help="dimensions of the V/W ladder")
-    p.add_argument("--levels", type=int, required=True, help="number of levels M")
+    p.add_argument("--levels", type=_int, required=True, help="number of levels M")
     p.set_defaults(func=_cmd_ladder)
 
     p = sub.add_parser("transform", help="apply the hierarchic change of basis")
-    p.add_argument("--qubits", type=int, required=True, help="register size (power of two)")
+    p.add_argument("--qubits", type=_int, required=True, help="register size (power of two)")
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON state: [[re,im],...] or {\"amplitudes\": ...}; any finite "
                         "vector (the map is linear, so the norm is not checked)")
@@ -295,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("analyze", help="ladder profile of a register state")
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("--qubits", type=_int, required=True)
     p.add_argument("--in", dest="infile", required=True,
                    help="JSON state as for transform; its norm must be 1 within 1e-6")
     p.set_defaults(func=_cmd_analyze)
@@ -306,34 +339,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("pulse", help="evolve a constant exchange pulse")
-    p.add_argument("--j0", type=float, required=True, help="pulse height in meV")
+    p.add_argument("--j0", type=_float, required=True, help="pulse height in meV")
     p.add_argument("--area", required=True, help="dimensionless area, e.g. pi or pi/2")
     p.set_defaults(func=_cmd_pulse)
 
     p = sub.add_parser("jsweep", help="exchange coupling versus magnetic field (CSV)")
-    p.add_argument("--bmin", type=float, default=0.0, help="lowest field in Tesla")
-    p.add_argument("--bmax", type=float, default=2.0, help="highest field in Tesla")
-    p.add_argument("--points", type=int, default=201, help="number of field points")
-    p.add_argument("--d", type=float, default=0.7, help="half-distance in Bohr radii")
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--bmin", type=_float, default=0.0, help="lowest field in Tesla")
+    p.add_argument("--bmax", type=_float, default=2.0, help="highest field in Tesla")
+    p.add_argument("--points", type=_int, default=201, help="number of field points")
+    p.add_argument("--d", type=_float, default=0.7, help="half-distance in Bohr radii")
+    p.add_argument("--c", type=_float, default=None,
                    help="Coulomb parameter (default: derived from GaAs values)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_jsweep)
 
     p = sub.add_parser("haar", help="Haar pyramid of a CSV signal (one value per line)")
     p.add_argument("--in", dest="infile", required=True, help="input CSV")
-    p.add_argument("--levels", type=int, required=True, help="decomposition depth")
+    p.add_argument("--levels", type=_int, required=True, help="decomposition depth")
     p.add_argument("--inverse", action="store_true",
                    help="reconstruct from coefficients instead")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_haar)
 
     p = sub.add_parser("estimates", help="physical scale estimates of a dot pair")
-    p.add_argument("--g", type=float, default=-0.44)
-    p.add_argument("--hbar-omega0", type=float, default=3.0, help="confinement in meV")
-    p.add_argument("--mass-ratio", type=float, default=0.067)
-    p.add_argument("--epsilon", type=float, default=13.1)
-    p.add_argument("--d", type=float, default=0.7)
+    p.add_argument("--g", type=_float, default=-0.44)
+    p.add_argument("--hbar-omega0", type=_float, default=3.0, help="confinement in meV")
+    p.add_argument("--mass-ratio", type=_float, default=0.067)
+    p.add_argument("--epsilon", type=_float, default=13.1)
+    p.add_argument("--d", type=_float, default=0.7)
     p.set_defaults(func=_cmd_estimates)
 
     p = sub.add_parser("constants", help="dump the pinned constants table")

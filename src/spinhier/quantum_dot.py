@@ -5,8 +5,9 @@ along z.  The exchange splitting J between singlet and triplet is evaluated
 from its closed form in the dimensionless field b, the dimensionless
 half-distance d = a / a_B, and the Coulomb-strength parameter c.  All
 dimensionful outputs are meV and nm, derived from the pinned constants table.
-The parameter record and the scale estimates are defined in ``dot_scales``
-and re-exported here.
+The parameter record, the scale estimates, ``bohr_radius``,
+``coulomb_parameter`` and ``confinement_potential`` are plain ``math``; numpy
+is imported only by the functions that compute on arrays.
 """
 
 from __future__ import annotations
@@ -15,15 +16,74 @@ import math
 from collections import namedtuple
 from itertools import repeat
 
-import numpy as np
-
-from .constants import E2_MEV_NM, MU_B_MEV_PER_T
-from .dot_scales import (  # noqa: F401
-    DotParameters, PhysicalEstimates, bohr_radius, physical_estimates,
-)
-from .register import _as_float, _as_real, _check_all
+from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T
+from .register import _CheckedRecord, _as_float, _as_real, _check_all
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
+
+
+class DotParameters(_CheckedRecord, namedtuple(
+        "DotParameters", "g hbar_omega0 mass_ratio epsilon d b_field")):
+    """Material and geometry record for a coupled-dot pair.
+
+    g: electron g-factor; hbar_omega0: confinement energy (meV); mass_ratio:
+    effective mass over the electron mass; epsilon: dielectric constant;
+    d: half-distance between the wells in units of the confinement Bohr
+    radius; b_field: magnetic field along z (Tesla).  Each field is stored as
+    the finite Python float that ``register._as_float`` makes of it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g, hbar_omega0, mass_ratio, epsilon, d, b_field=0.0):
+        self = tuple.__new__(cls, map(_as_float, cls._fields,
+                                      (g, hbar_omega0, mass_ratio, epsilon, d, b_field)))
+        if self.hbar_omega0 <= 0:
+            raise ValueError("confinement energy must be positive")
+        if self.mass_ratio <= 0:
+            raise ValueError("mass ratio must be positive")
+        if self.epsilon < 1:
+            raise ValueError("dielectric constant must be >= 1")
+        if self.d <= 0:
+            raise ValueError("half-distance must be positive")
+        return self
+
+    @classmethod
+    def gaas(cls, d: float = 0.7, b_field: float = 0.0) -> "DotParameters":
+        """Standard GaAs dot: g = -0.44, 3 meV confinement, m = 0.067 m_e, eps = 13.1."""
+        return cls(g=-0.44, hbar_omega0=3.0, mass_ratio=0.067, epsilon=13.1,
+                   d=d, b_field=b_field)
+
+
+class PhysicalEstimates(namedtuple("PhysicalEstimates", "a_b_nm spin_orbit_ratio dipole_mev")):
+    """Order-of-magnitude scales of the dot pair."""
+
+    __slots__ = ()
+
+
+def bohr_radius(p: DotParameters) -> float:
+    """Confinement length sqrt(hbar / (m omega0)) in nm (about 20 nm for GaAs)."""
+    return HBARC_MEV_NM / math.sqrt(p.mass_ratio * MEC2_MEV * p.hbar_omega0)
+
+
+def physical_estimates(p: DotParameters) -> PhysicalEstimates:
+    """Confinement length, spin-orbit ratio, and dipole coupling scale.
+
+    spin_orbit_ratio is H_SO / (hbar omega0) = hbar omega0 / (2 m c^2) for
+    L.S of order hbar^2; dipole_mev is (mu_0 / 4 pi)(g mu_B)^2 / a_B^3,
+    rewritten as g^2 e^2 (hbar c)^2 / (4 (m_e c^2)^2 a_B^3) so only pinned
+    constants enter.  Raises ValueError when an estimate leaves the float range.
+    """
+    try:
+        a_b = bohr_radius(p)
+        spin_orbit = p.hbar_omega0 / (2.0 * p.mass_ratio * MEC2_MEV)
+        dipole = (p.g ** 2 * E2_MEV_NM * HBARC_MEV_NM ** 2
+                  / (4.0 * MEC2_MEV ** 2 * a_b ** 3))
+    except (OverflowError, ZeroDivisionError):  # float ** overflows, a_B underflows to 0
+        a_b = spin_orbit = dipole = math.inf
+    if not all(map(math.isfinite, (a_b, spin_orbit, dipole))):
+        raise ValueError("scale estimates fall outside the float range for these parameters")
+    return PhysicalEstimates(a_b_nm=a_b, spin_orbit_ratio=spin_orbit, dipole_mev=dipole)
 
 
 class ExchangeResult(namedtuple("ExchangeResult", "b c j_mev")):
@@ -33,8 +93,10 @@ class ExchangeResult(namedtuple("ExchangeResult", "b c j_mev")):
     __slots__ = ()
 
 
-def _dimensionless_fields(p: DotParameters, tesla: np.ndarray) -> np.ndarray:
+def _dimensionless_fields(p: DotParameters, tesla):
     """b at each field of ``tesla``, a float array its caller has converted."""
+    import numpy as np
+
     _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
     larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
     return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
@@ -46,7 +108,7 @@ def dimensionless_field(p: DotParameters) -> float:
     hbar * omega_L equals mu_B * B / mass_ratio; b = 1 at zero field and
     increases strictly with B.
     """
-    return float(_dimensionless_fields(p, np.asarray(p.b_field)))
+    return float(_dimensionless_fields(p, _as_real(p.b_field, "b_field")))
 
 
 def coulomb_parameter(p: DotParameters) -> float:
@@ -60,6 +122,8 @@ def bessel_i0(x):
     A domain-checked ``np.i0``: a float for a scalar argument, an array for an
     array.  The upper end guards exp(x) against overflow.
     """
+    import numpy as np
+
     values = _as_real(x, "x")
     _check_all((values >= 0.0) & (values <= BESSEL_MAX_ARG), values,
                f"argument must be in [0, {BESSEL_MAX_ARG}]")
@@ -79,6 +143,8 @@ def exchange_coupling(b, d: float, c: float):
     on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range,
     and the scaled evaluation below keeps every exponential from overflowing.
     """
+    import numpy as np
+
     d, c = _as_float("d", d), _as_float("c", c)
     if d <= 0:
         raise ValueError(f"half-distance d must be positive, got {d}")

@@ -417,6 +417,20 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["pulse", "--j0", "1.0", "--area=pi/1_0"], {}, "error: cannot parse area 'pi/1_0'\n"),
     (["pulse", "--j0", "1.0", "--area=\u0662pi"], {}, "error: cannot parse area '\u0662pi'\n"),
     (["pulse", "--j0", "1.0", "--area=1_0"], {}, "error: cannot parse area '1_0'\n"),
+    (["pulse", "--j0", "1.0", "--area=pi/1e-400"], {},
+     "error: area 'pi/1e-400' has a divisor that underflows to 0.0\n"),
+    (["pulse", "--j0", "1.0", "--area=pi/-0"], {}, "error: area 'pi/-0' divides by zero\n"),
+    (["haar", "--in", "{signal}", "--levels", "1"], {"signal": "1_0\n2\n"},
+     "error: cannot parse value '1_0'\n"),
+    (["haar", "--in", "{signal}", "--levels", "1"], {"signal": "\u0662\n2\n"},
+     "error: cannot parse value '\u0662'\n"),
+    (["haar", "--in", "{signal}", "--levels", "1"], {"signal": "x\n2\n"},
+     "error: cannot parse value 'x'\n"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "[[1,0]"},
+     "error: state is not valid JSON: Expecting ',' delimiter: line 1 column 7 (char 6)\n"),
+    (["analyze", "--qubits", "1", "--in", "{state}"], {"state": "\udcff"},
+     "/state' is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte\n"),
 ], ids=["area-pi/0", "area-inf", "bare-numbers", "missing-key", "nan-state",
         "haar-inverse-empty", "haar-inverse-odd", "haar-inverse-deep", "haar-inverse-negative",
         "jsweep-c-nan", "jsweep-c-inf", "jsweep-d-nan", "jsweep-bmax-inf", "jsweep-bmin-nan",
@@ -431,12 +445,15 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "transform-inf-named", "transform-output-overflow", "haar-overflow-named",
         "area-pi-slash", "area-dot-pi", "area-two-slashes", "area-word", "area-two-signs",
         "area-digits-after-pi", "area-underscore-pi", "area-underscore-divisor",
-        "area-arabic-indic-digit", "area-underscore"])
+        "area-arabic-indic-digit", "area-underscore", "area-divisor-underflow", "area-pi/-0",
+        "haar-underscore", "haar-arabic-indic-digit", "haar-word", "analyze-truncated-json",
+        "analyze-not-utf8"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / name
-        paths[name].write_text(text)
+        # a lone surrogate stands for the undecodable byte it escapes
+        paths[name].write_bytes(text.encode("utf-8", "surrogateescape"))
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert out == ""
@@ -495,6 +512,22 @@ def test_transform_is_linear_and_analyze_needs_unit_norm(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--qubits", "2", "--in", str(double))
     assert code == 1 and out == ""
     assert err.startswith("error: state norm 2.0")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decompose", "--qubits", "\u0661\u0666"],
+     "argument --qubits: invalid int value: '\u0661\u0666'"),
+    (["decompose", "--qubits", "1_6"], "argument --qubits: invalid int value: '1_6'"),
+    (["jsweep", "--points", "2", "--bmax", "1_0"], "argument --bmax: invalid float value: '1_0'"),
+    (["ladder", "--levels", "\u0662"], "argument --levels: invalid int value: '\u0662'"),
+], ids=["decompose-arabic-indic-digits", "decompose-underscore", "jsweep-underscore",
+        "ladder-arabic-indic-digit"])
+def test_numbers_with_underscores_or_non_ascii_digits_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f": error: {message}\n")
 
 
 def test_usage_errors_exit_two(capsys):

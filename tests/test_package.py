@@ -1,5 +1,6 @@
 """Package layout: lazy submodules, the numpy-free modules behind the
-integer and scalar subcommands, no ``dataclasses`` anywhere, the names the
+integer and scalar subcommands, a dot layer that loads numpy only in its
+array functions, no ``dataclasses`` anywhere, the names the
 numerical modules re-export, no unused imports in the package sources, one
 float conversion of real arrays, and Python 3.10 grammar in every source."""
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import spinhier
-from spinhier import angular_momentum, dot_scales, gates, hierarchy, quantum_dot, register
+from spinhier import angular_momentum, gates, hierarchy, quantum_dot, register
 
 # Run one subcommand through cli.main in a fresh interpreter, then report on
 # stderr which of numpy, dataclasses and inspect (which dataclasses imports)
@@ -53,6 +54,20 @@ def test_numerical_subcommand_still_imports_numpy(argv):
     assert "dataclasses" not in loaded
 
 
+def test_dot_layer_loads_numpy_only_in_its_array_functions():
+    probe = """\
+import sys
+from spinhier.quantum_dot import (DotParameters, bohr_radius, coulomb_parameter,
+                                  physical_estimates, sweep_exchange)
+p = DotParameters.gaas()
+bohr_radius(p), coulomb_parameter(p), physical_estimates(p)
+assert "numpy" not in sys.modules
+assert [r.b for r in sweep_exchange(p, [0.0, 1.0])][0] == 1.0
+assert "numpy" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
 def test_no_module_imports_dataclasses():
     importers = set()
     for path in Path(spinhier.__file__).parent.glob("*.py"):
@@ -80,9 +95,7 @@ def test_package_resolves_every_listed_module():
      ["MAX_LADDER_LEVELS", "MAX_TREE_QUBITS", "MAX_TWICE_J", "CouplingTree",
       "LadderDimensions", "MultipletLabel", "SpinLabel", "TreeNode",
       "build_coupling_tree", "ladder_dimensions", "register_content"]),
-    (quantum_dot, dot_scales,
-     ["DotParameters", "PhysicalEstimates", "bohr_radius", "physical_estimates"]),
-], ids=["angular_momentum", "hierarchy", "quantum_dot"])
+], ids=["angular_momentum", "hierarchy"])
 def test_numerical_modules_re_export_the_numpy_free_names(module, source, names):
     for name in names:
         assert getattr(module, name) is getattr(source, name), name
