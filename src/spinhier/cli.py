@@ -1,9 +1,9 @@
 """Batch command line: JSON matrices and CSV tables for scripts and plotting.
 
-One subcommand per capability; all floats are printed with Python's shortest
-round-trip representation, so repeated runs on the same inputs are
-byte-identical.  JSON documents go to stdout; the CSV subcommands accept
-``--out`` and default to stdout as well.
+One subcommand per capability, whose handler returns its output and writes
+nothing: ``main`` writes a JSON document to stdout and CSV text to ``--out``
+or stdout.  Floats are printed as Python's shortest round-trip repr, so
+repeated runs on the same inputs are byte-identical.
 
 numpy and the numerical modules are loaded in the handlers that use them:
 ``decompose``, ``ladder``, ``estimates`` and ``constants`` load no numpy,
@@ -102,26 +102,34 @@ def _float(text: str) -> float:
 _int.__name__, _float.__name__ = "int", "float"
 
 
+def _zero_as_written(number: str) -> bool:
+    """Whether a number's mantissa, the text before any exponent, has no digit 1-9."""
+    return not any(digit in "123456789" for digit in number.partition("e")[0])
+
+
 def _parse_area(text: str) -> float:
     """Pulse areas like 'pi', '-pi/2', '2pi', or a plain float, each number a
-    plain one; any other spelling raises ValueError quoting ``text``."""
+    plain one; any other spelling raises ValueError quoting ``text``, and so
+    does a divisor of zero or an area that underflows to 0.0."""
     cleaned = text.strip().lower().replace(" ", "").replace("*", "")
     head, pi, tail = cleaned.partition("pi")
+    numerator = head + "1" if pi and head in ("", "+", "-") else head
     try:
         _plain_number(cleaned)
-        if not pi:
-            return float(cleaned)
         if tail[:1] not in ("", "/"):
             raise ValueError
-        value = math.pi * float(head + "1" if head in ("", "+", "-") else head)
+        value = float(numerator) * (math.pi if pi else 1.0)
         divisor = float(tail[1:]) if tail else 1.0
     except ValueError:
         raise ValueError(f"cannot parse area {text!r}") from None
     if divisor == 0.0:
-        if any(digit in "123456789" for digit in tail.partition("e")[0]):
+        if not _zero_as_written(tail[1:]):
             raise ValueError(f"area {text!r} has a divisor that underflows to 0.0")
         raise ValueError(f"area {text!r} divides by zero")
-    return value / divisor
+    area = value / divisor
+    if area == 0.0 and not _zero_as_written(numerator):
+        raise ValueError(f"area {text!r} underflows to 0.0")
+    return area
 
 
 def _read_text(path: str) -> str:
@@ -132,36 +140,32 @@ def _read_text(path: str) -> str:
             raise ValueError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+def _csv(*columns) -> str:
+    """CSV rows of equal-length columns, each cell the repr of its float."""
+    return "\n".join(map(",".join, zip(*(map(repr, map(float, c)) for c in columns)))) + "\n"
 
 
-def _csv_float(x: float) -> str:
-    return repr(float(x))
+def _given(args, *names) -> dict:
+    """The given options of ``names``, by name, to replace in ``DotParameters.gaas()``."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_decompose(args) -> None:
+def _cmd_decompose(args) -> dict:
     content = register.register_content(args.qubits)
-    doc = {
+    return {
         "content": [{"J": _spin_value(s.twice_j), "mult": m} for s, m in content],
         "check": sum((s.twice_j + 1) * m for s, m in content),
     }
-    print(_dumps(doc))
 
 
-def _cmd_ladder(args) -> None:
+def _cmd_ladder(args) -> dict:
     dims = register.ladder_dimensions(args.levels)
-    doc = {"V0": dims.v[0], "W": list(dims.w), "VM": dims.v[-1]}
-    print(_dumps(doc))
+    return {"V0": dims.v[0], "W": list(dims.w), "VM": dims.v[-1]}
 
 
-def _cmd_transform(args) -> None:
+def _cmd_transform(args) -> dict:
     import numpy as np
     from . import hierarchy
 
@@ -173,7 +177,7 @@ def _cmd_transform(args) -> None:
     inverse = args.direction == "inverse"
     with np.errstate(over="ignore", invalid="ignore"):
         result = hierarchy._apply_transform(amplitudes, args.qubits, inverse)
-    doc = {
+    return {
         "qubits": args.qubits,
         "direction": args.direction,
         "basis": "product" if inverse else "multiplet",
@@ -188,16 +192,14 @@ def _cmd_transform(args) -> None:
             for st in hierarchy.multiplet_basis_states(tree)
         ],
     }
-    print(_dumps(doc))
 
 
-def _cmd_analyze(args) -> None:
+def _cmd_analyze(args) -> dict:
     from . import hierarchy
 
     tree, state = _read_state(args)
     profile = hierarchy.analyze_state(state, tree)
-    doc = {"W": list(profile.detail_weights), "VM": profile.final_weight}
-    print(_dumps(doc))
+    return {"W": list(profile.detail_weights), "VM": profile.final_weight}
 
 
 # The gate constructors of ``gates`` by ``gate --name``: names, not functions,
@@ -206,7 +208,7 @@ _GATES = {"cnot": "cnot_product", "swap": "swap_gate", "sqrt-swap": "sqrt_swap_g
           "xor": "xor_sequence"}
 
 
-def _cmd_gate(args) -> None:
+def _cmd_gate(args) -> list:
     from . import gates
     from .angular_momentum import SpinLabel, couple_pair_matrix
 
@@ -214,33 +216,32 @@ def _cmd_gate(args) -> None:
     if args.basis == "multiplet":
         pair_basis = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
         matrix = gates.to_multiplet(matrix, pair_basis)
-    print(_dumps(_payload(matrix)))
+    return _payload(matrix)
 
 
 # A constant pulse gives the same gate at every step count (within 1e-15).
 _PULSE_STEPS = 1024
 
 
-def _cmd_pulse(args) -> None:
+def _cmd_pulse(args) -> dict:
     from . import dynamics, gates
 
     area = _parse_area(args.area)
     profile = dynamics.pulse_for_area(area, args.j0)
     unitary = dynamics.evolve_pulse(profile, _PULSE_STEPS)
-    doc = {
+    return {
         "area": area,
         "tau_ns": profile.duration_ns,
         "unitary": _payload(unitary),
         "fidelity_vs_swap": gates.gate_fidelity(unitary, gates.swap_gate()),
     }
-    print(_dumps(doc))
 
 
-def _cmd_jsweep(args) -> None:
+def _cmd_jsweep(args) -> str:
     import numpy as np
     from . import quantum_dot
 
-    params = quantum_dot.DotParameters.gaas(d=args.d)
+    params = quantum_dot.DotParameters.gaas()._replace(**_given(args, "d"))
     bmin, bmax = register._as_float("--bmin", args.bmin), register._as_float("--bmax", args.bmax)
     if bmin > bmax:
         raise ValueError(f"--bmin {bmin} exceeds --bmax {bmax}")
@@ -252,13 +253,10 @@ def _cmd_jsweep(args) -> None:
         results = quantum_dot.sweep_exchange(params, fields, c=args.c)
     j = np.array([res.j_mev for res in results])
     register._check_all(np.isfinite(j), j, "exchange coupling must be finite")
-    lines = ["B_tesla,b,J_meV"]
-    for b_field, res in zip(fields, results):
-        lines.append(f"{_csv_float(b_field)},{_csv_float(res.b)},{_csv_float(res.j_mev)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    return "B_tesla,b,J_meV\n" + _csv(fields, [res.b for res in results], j)
 
 
-def _cmd_haar(args) -> None:
+def _cmd_haar(args) -> str:
     import numpy as np
     from . import wavelet
 
@@ -277,27 +275,21 @@ def _cmd_haar(args) -> None:
             out_values = np.concatenate(  # coarsest detail first
                 [decomposition.approximation, *reversed(decomposition.details)])
     register._check_all(np.isfinite(out_values), out_values, "result overflows the float range")
-    _emit("\n".join(_csv_float(v) for v in out_values) + "\n", args.out)
+    return _csv(out_values)
 
 
-def _cmd_estimates(args) -> None:
+def _cmd_estimates(args) -> dict:
     from . import quantum_dot
 
-    params = quantum_dot.DotParameters(
-        g=args.g, hbar_omega0=args.hbar_omega0, mass_ratio=args.mass_ratio,
-        epsilon=args.epsilon, d=args.d,
-    )
+    params = quantum_dot.DotParameters.gaas()._replace(
+        **_given(args, "g", "hbar_omega0", "mass_ratio", "epsilon", "d"))
     est = quantum_dot.physical_estimates(params)
-    doc = {
-        "a_B_nm": est.a_b_nm,
-        "spin_orbit_ratio": est.spin_orbit_ratio,
-        "dipole_meV": est.dipole_mev,
-    }
-    print(_dumps(doc))
+    return {"a_B_nm": est.a_b_nm, "spin_orbit_ratio": est.spin_orbit_ratio,
+            "dipole_meV": est.dipole_mev}
 
 
-def _cmd_constants(_args) -> None:
-    print(_dumps(const.constants_table()))
+def _cmd_constants(_args) -> dict:
+    return const.constants_table()
 
 
 # ---------------------------------------------------------------- entry point
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmin", type=_float, default=0.0, help="lowest field in Tesla")
     p.add_argument("--bmax", type=_float, default=2.0, help="highest field in Tesla")
     p.add_argument("--points", type=_int, default=201, help="number of field points")
-    p.add_argument("--d", type=_float, default=0.7, help="half-distance in Bohr radii")
+    p.add_argument("--d", type=_float, help="half-distance in Bohr radii (default: GaAs)")
     p.add_argument("--c", type=_float, default=None,
                    help="Coulomb parameter (default: derived from GaAs values)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -361,12 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_haar)
 
-    p = sub.add_parser("estimates", help="physical scale estimates of a dot pair")
-    p.add_argument("--g", type=_float, default=-0.44)
-    p.add_argument("--hbar-omega0", type=_float, default=3.0, help="confinement in meV")
-    p.add_argument("--mass-ratio", type=_float, default=0.067)
-    p.add_argument("--epsilon", type=_float, default=13.1)
-    p.add_argument("--d", type=_float, default=0.7)
+    p = sub.add_parser("estimates", help="physical scale estimates of a dot pair "
+                                         "(GaAs values unless given)")
+    p.add_argument("--g", type=_float)
+    p.add_argument("--hbar-omega0", type=_float, help="confinement in meV")
+    p.add_argument("--mass-ratio", type=_float)
+    p.add_argument("--epsilon", type=_float)
+    p.add_argument("--d", type=_float)
     p.set_defaults(func=_cmd_estimates)
 
     p = sub.add_parser("constants", help="dump the pinned constants table")
@@ -383,7 +376,13 @@ def main(argv=None) -> int:
         if isinstance(value, list):
             parser.error(f"argument {name}: expected one value, got '--'")
     try:
-        args.func(args)
+        output = args.func(args)
+        text = output if isinstance(output, str) else _dumps(output) + "\n"
+        if getattr(args, "out", None) is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhier import cli, dynamics, hierarchy
+from spinhier import cli, dynamics, hierarchy, quantum_dot
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
 from spinhier.gates import gate_fidelity, swap_gate, to_multiplet, cnot_product
 
@@ -320,6 +320,53 @@ def test_estimates_subcommand(capsys):
     assert doc["dipole_meV"] == pytest.approx(1.41e-9, rel=1e-2)
 
 
+@pytest.mark.parametrize("option,value", [("--epsilon", "20"), ("--g", "-2"),
+                                          ("--hbar-omega0", "4"), ("--mass-ratio", "0.1")])
+def test_estimates_replaces_the_given_values_of_the_gaas_dot(capsys, option, value):
+    field = option[2:].replace("-", "_")
+    params = quantum_dot.DotParameters.gaas()._replace(**{field: float(value)})
+    est = quantum_dot.physical_estimates(params)
+    doc = {"a_B_nm": est.a_b_nm, "spin_orbit_ratio": est.spin_orbit_ratio,
+           "dipole_meV": est.dipole_mev}
+    assert run_cli(capsys, "estimates", option, value) == (0, cli._dumps(doc) + "\n", "")
+
+
+def test_estimates_given_every_gaas_value_prints_the_bare_bytes(capsys):
+    bare = run_cli(capsys, "estimates")
+    given = run_cli(capsys, "estimates", "--g", "-0.44", "--hbar-omega0", "3",
+                    "--mass-ratio", "0.067", "--epsilon", "13.1", "--d", "0.7")
+    assert given == bare and bare[0] == 0
+
+
+# The ten invocations of the acceptance suite's c13, one per subcommand.
+C13 = [
+    ["decompose", "--qubits", "4"],
+    ["ladder", "--levels", "2"],
+    ["transform", "--qubits", "2", "--in", "{state}", "--direction", "forward"],
+    ["analyze", "--qubits", "2", "--in", "{state}"],
+    ["gate", "--name", "cnot", "--basis", "multiplet"],
+    ["pulse", "--j0", "1.0", "--area", "pi"],
+    ["jsweep", "--bmin", "0", "--bmax", "2", "--points", "11", "--d", "0.7"],
+    ["haar", "--in", "{signal}", "--levels", "3"],
+    ["estimates"],
+    ["constants"],
+]
+
+
+@pytest.mark.parametrize("argv", C13, ids=lambda argv: argv[0])
+def test_handlers_return_their_output_and_main_writes_it(capsys, tmp_path, argv):
+    paths = {"state": tmp_path / "state.json", "signal": tmp_path / "signal.csv"}
+    paths["state"].write_text("[[0.0, 0.0], [-0.7071067811865476, 0.0], "
+                              "[0.7071067811865476, 0.0], [0.0, 0.0]]")
+    paths["signal"].write_text("3\n1\n4\n1\n5\n9\n2\n6\n")
+    argv = [arg.format(**paths) for arg in argv]
+    args = cli.build_parser().parse_args(argv)
+    output = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    want = output if isinstance(output, str) else cli._dumps(output) + "\n"
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 def test_constants_subcommand(capsys):
     code, out, _ = run_cli(capsys, "constants")
     assert code == 0
@@ -420,6 +467,12 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["pulse", "--j0", "1.0", "--area=pi/1e-400"], {},
      "error: area 'pi/1e-400' has a divisor that underflows to 0.0\n"),
     (["pulse", "--j0", "1.0", "--area=pi/-0"], {}, "error: area 'pi/-0' divides by zero\n"),
+    (["pulse", "--j0", "1", "--area=1e-400pi"], {},
+     "error: area '1e-400pi' underflows to 0.0\n"),
+    (["pulse", "--j0", "1", "--area=pi/1e400"], {}, "error: area 'pi/1e400' underflows to 0.0\n"),
+    (["pulse", "--j0", "1", "--area=pi/inf"], {}, "error: area 'pi/inf' underflows to 0.0\n"),
+    (["pulse", "--j0", "1", "--area=1e-400"], {}, "error: area '1e-400' underflows to 0.0\n"),
+    (["pulse", "--j0=-1", "--area=-1e-400"], {}, "error: area '-1e-400' underflows to 0.0\n"),
     (["haar", "--in", "{signal}", "--levels", "1"], {"signal": "1_0\n2\n"},
      "error: cannot parse value '1_0'\n"),
     (["haar", "--in", "{signal}", "--levels", "1"], {"signal": "\u0662\n2\n"},
@@ -446,6 +499,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "area-pi-slash", "area-dot-pi", "area-two-slashes", "area-word", "area-two-signs",
         "area-digits-after-pi", "area-underscore-pi", "area-underscore-divisor",
         "area-arabic-indic-digit", "area-underscore", "area-divisor-underflow", "area-pi/-0",
+        "area-pi-underflow", "area-divisor-overflow", "area-divisor-inf",
+        "area-plain-underflow", "area-negative-underflow",
         "haar-underscore", "haar-arabic-indic-digit", "haar-word", "analyze-truncated-json",
         "analyze-not-utf8"])
 def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, message):

@@ -9,9 +9,7 @@ naming the argument and warns nothing; valid input converts as float() or a
 float array would."""
 
 import argparse
-import contextlib
 import datetime
-import io
 import math
 import re
 import warnings
@@ -96,11 +94,9 @@ def _dot(name):
 
 
 def _jsweep(**options):
-    args = argparse.Namespace(**{"bmin": 0.0, "bmax": 2.0, "points": 3, "d": 0.7, "c": None,
+    args = argparse.Namespace(**{"bmin": 0.0, "bmax": 2.0, "points": 3, "d": None, "c": None,
                                  "out": None, **options})
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        cli._cmd_jsweep(args)
-    return out.getvalue()
+    return cli._cmd_jsweep(args)
 
 
 # (parameter name, call taking the value, a valid integer value)
