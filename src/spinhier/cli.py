@@ -282,7 +282,7 @@ def _cmd_estimates(args) -> dict:
     from . import quantum_dot
 
     params = quantum_dot.DotParameters.gaas()._replace(
-        **_given(args, "g", "hbar_omega0", "mass_ratio", "epsilon", "d"))
+        **_given(args, "g", "hbar_omega0", "mass_ratio", "d"))
     est = quantum_dot.physical_estimates(params)
     return {"a_B_nm": est.a_b_nm, "spin_orbit_ratio": est.spin_orbit_ratio,
             "dipole_meV": est.dipole_mev}
@@ -358,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_float)
     p.add_argument("--hbar-omega0", type=_float, help="confinement in meV")
     p.add_argument("--mass-ratio", type=_float)
-    p.add_argument("--epsilon", type=_float)
-    p.add_argument("--d", type=_float)
+    p.add_argument("--d", type=_float, help="half-distance in Bohr radii; no estimate uses it")
     p.set_defaults(func=_cmd_estimates)
 
     p = sub.add_parser("constants", help="dump the pinned constants table")
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-    except (ValueError, OSError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate

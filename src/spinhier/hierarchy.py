@@ -250,7 +250,10 @@ def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
 
     Entry [i, k] is the overlap of product state i (qubit 0 most significant,
     down before up) with multiplet state k in canonical order; hierarchic
-    amplitudes of a register state are ``u.conj().T @ psi``.
+    amplitudes of a real register state are ``u.T @ psi``.  U is real, so for
+    a complex psi apply ``u.T`` to its real and imaginary parts,
+    ``u.T @ psi.real + 1j * (u.T @ psi.imag)``: a complex operand would make
+    numpy copy U to complex.
 
     The result is the cached matrix itself and is read-only: writing to it
     raises ``ValueError``; copy it first to modify it.

@@ -114,7 +114,7 @@ def test_csv_signals(capsys, tmp_path, text, levels, inverse):
 EXTREME_FLOATS = st.sampled_from([1e-320, 1e-160, 1e300, 1.7e308, float("nan"), float("inf")])
 OPTION_VALUES = st.one_of(NUMBERS, EXTREME_FLOATS, EXTREME_FLOATS.map(lambda x: -x))
 FLOAT_OPTIONS = {
-    "estimates": ("--g", "--hbar-omega0", "--mass-ratio", "--epsilon", "--d"),
+    "estimates": ("--g", "--hbar-omega0", "--mass-ratio", "--d"),
     "jsweep": ("--bmin", "--bmax", "--d", "--c"),
 }
 
