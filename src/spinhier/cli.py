@@ -9,7 +9,10 @@ numpy and the numerical modules are loaded in the handlers that use them:
 ``decompose``, ``ladder``, ``estimates`` and ``constants`` load no numpy,
 only ``register``, ``constants`` and, for ``estimates``, the scalar
 functions of ``quantum_dot``.  Every number, in an option or an input line,
-is ASCII with no '_'.
+is ASCII with no '_'.  A handler checks nothing that the library checks:
+``transform`` and ``analyze`` call the hierarchy's state check and apply,
+``haar --inverse`` the pyramid's length and depth check, and ``pulse``
+leaves the finiteness of its area to ``pulse_for_area``.
 
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.
@@ -327,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate", help="two-qubit gate constant as a JSON matrix")
     p.add_argument("--name", choices=list(_GATES), required=True)
-    p.add_argument("--basis", choices=["product", "multiplet"], default="product")
+    p.add_argument("--basis", choices=["product", "multiplet"], default="product",
+                   help="multiplet: the pair basis of couple_pair_matrix, ascending J "
+                        "(singlet, then the triplet at M = -1, 0, +1), not transform's order")
     p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("pulse", help="evolve a constant exchange pulse")

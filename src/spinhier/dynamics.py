@@ -115,7 +115,8 @@ def _pulse_angle(profile: PulseProfile, steps: int, name: str) -> float:
     # The sum can overflow (J near the float maximum) and then meet a zero
     # step or an opposite infinity; a non-finite angle is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = (_midpoint_sum(np.array(profile.samples), steps)
+        samples = np.fromiter(profile.samples, float, len(profile.samples))
+        angle = (_midpoint_sum(samples, steps)
                  * (profile.duration_ns / steps) / HBAR_MEV_NS)
     return _as_float(name, angle)
 

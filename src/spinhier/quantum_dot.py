@@ -141,7 +141,8 @@ def exchange_coupling(b, d: float, c: float):
     ``b`` is a scalar (float result) or an array (array result).  The domain,
     b > 0, 2b - 1/b > 0 and b d^2 <= 700, is checked over every element;
     on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range,
-    and the scaled evaluation below keeps every exponential from overflowing.
+    and the scaled evaluation below keeps every exponential from overflowing:
+    J is finite there unless c or 1/d nears the float range.
     """
     import numpy as np
 
@@ -178,7 +179,8 @@ def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResul
 
 
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
-    """Exchange coupling across a sequence of field values, in input order."""
+    """Exchange coupling across a sequence of field values, in input order,
+    computed in one array pass."""
     c = coulomb_parameter(p) if c is None else _as_float("c", c)
     b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
     j = exchange_coupling(b, p.d, c) * p.hbar_omega0

@@ -1,8 +1,14 @@
 """The CI workflow's "Installed console script" step, run here with a
 ``spinhier`` shim on PATH in place of the installed entry point, and the
-wiring of that entry point in ``pyproject.toml``.  Both files are read by
-plain string handling: the test extra has no YAML parser, and Python 3.10
-has no ``tomllib``."""
+wiring of that entry point in ``pyproject.toml``.
+
+The step checks only what an installed script can show: that the return
+value of ``main`` reaches the shell as exactly 0, 1 or 2, with the one
+expected stderr line for each refusal.  Every other CLI behaviour is pinned
+in-process by tier-1 (``tests/test_cli.py``), so new CLI behaviour gets a
+row there, not a line in the step.  Both files are read by plain string
+handling: the test extra has no YAML parser, and Python 3.10 has no
+``tomllib``."""
 
 import importlib
 import os
@@ -45,7 +51,8 @@ def test_installed_console_script_step_exits_zero(tmp_path):
     _shim(bin_dir / "python", f"'{sys.executable}'")
     env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
            "RUNNER_TEMP": str(tmp_path), "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run(["bash", "-e", str(script)], cwd=ROOT, env=env,
+    # -x: a failing step ends its stderr with the command that failed
+    run = subprocess.run(["bash", "-ex", str(script)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
 

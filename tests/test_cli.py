@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinhier import cli, dynamics, hierarchy, quantum_dot
+from spinhier import cli, dynamics, gates, hierarchy, quantum_dot
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
-from spinhier.gates import gate_fidelity, swap_gate, to_multiplet, cnot_product
+from spinhier.gates import gate_fidelity, swap_gate, to_multiplet
 
 
 def run_cli(capsys, *argv):
@@ -71,16 +72,26 @@ def test_decompose_at_the_4096_qubit_limit(capsys):
         assert doc["content"][k] == {"J": n // 2 - k, "mult": mult}
 
 
-def test_gate_multiplet_matches_similarity_transform(capsys):
-    code, out, _ = run_cli(capsys, "gate", "--name", "cnot", "--basis", "multiplet")
+PRODUCT_GATES = {"cnot": gates.cnot_product, "swap": gates.swap_gate,
+                 "sqrt-swap": gates.sqrt_swap_gate, "xor": gates.xor_sequence}
+
+
+@pytest.mark.parametrize("name", PRODUCT_GATES)
+def test_gate_multiplet_matches_similarity_transform(capsys, name):
+    code, out, _ = run_cli(capsys, "gate", "--name", name, "--basis", "multiplet")
     assert code == 0
     got = _complex_matrix(out)
     pair = couple_pair_matrix(SpinLabel(1), SpinLabel(1))
-    assert np.max(np.abs(got - to_multiplet(cnot_product(), pair))) < 1e-12
-    sq2 = 1 / np.sqrt(2)
-    assert got[0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert got[0, 3] == pytest.approx(sq2, abs=1e-12)
-    assert got[3, 3] == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(got - to_multiplet(PRODUCT_GATES[name](), pair))) < 1e-12
+    if name == "cnot":
+        # the pair order of couple_pair_matrix: singlet, then the triplet at M = -1, 0, +1;
+        # CNOT fixes down-down, the triplet at M = -1, so row 1 and column 1 are e_1
+        e1 = np.eye(4)[1]
+        assert np.max(np.abs(got[1] - e1)) < 1e-12 and np.max(np.abs(got[:, 1] - e1)) < 1e-12
+        sq2 = 1 / np.sqrt(2)
+        assert got[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert got[0, 3] == pytest.approx(sq2, abs=1e-12)
+        assert got[3, 3] == pytest.approx(0.0, abs=1e-12)
 
 
 def _json(array):
@@ -192,15 +203,22 @@ def test_analyze_reports_the_dense_size_before_reading_its_input(tmp_path, capsy
     assert err == "error: dense operations support at most 8 qubits (16 requested)\n"
 
 
-def test_analyze_subcommand(tmp_path, capsys):
-    singlet = [[0.0, 0.0], [-1 / np.sqrt(2), 0.0], [1 / np.sqrt(2), 0.0], [0.0, 0.0]]
-    infile = tmp_path / "singlet.json"
-    infile.write_text(json.dumps(singlet))
-    code, out, _ = run_cli(capsys, "analyze", "--qubits", "2", "--in", str(infile))
+@pytest.mark.parametrize("qubits,state", [
+    (2, [[0.0, 0.0], [-1 / np.sqrt(2), 0.0], [1 / np.sqrt(2), 0.0], [0.0, 0.0]]),
+    (8, [[1.0, 0.0] if k == 37 else [0.0, 0.0] for k in range(256)]),
+], ids=["singlet", "basis-state-8"])
+def test_analyze_subcommand(tmp_path, capsys, qubits, state):
+    infile = tmp_path / "state.json"
+    infile.write_text(json.dumps(state))
+    code, out, _ = run_cli(capsys, "analyze", "--qubits", str(qubits), "--in", str(infile))
     assert code == 0
     doc = json.loads(out)
-    assert doc["W"][0] == pytest.approx(1.0, abs=1e-12)
-    assert doc["VM"] == pytest.approx(0.0, abs=1e-12)
+    profile = hierarchy.analyze_state(np.array([complex(re, im) for re, im in state]),
+                                      hierarchy.build_coupling_tree(qubits))
+    assert doc == {"W": list(profile.detail_weights), "VM": profile.final_weight}
+    if qubits == 2:
+        assert doc["W"][0] == pytest.approx(1.0, abs=1e-12)
+        assert doc["VM"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pulse_subcommand(capsys):
@@ -235,6 +253,10 @@ def test_pulse_area_spellings(capsys):
     outputs = [run_cli(capsys, "pulse", "--j0=-1", f"--area={area}")
                for area in ("-pi", repr(-np.pi))]
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    # a negative J0 with an exponent is given as --j0=...; a plain decimal may follow a space
+    for j0 in (["--j0=-1e-3"], ["--j0", "-0.5"]):
+        code, out, _ = run_cli(capsys, "pulse", *j0, "--area=-pi")
+        assert code == 0 and json.loads(out)["area"] == -math.pi
 
 
 def test_jsweep_csv(tmp_path, capsys):
@@ -321,15 +343,17 @@ def test_estimates_subcommand(capsys):
     assert doc["dipole_meV"] == pytest.approx(1.41e-9, rel=1e-2)
 
 
-@pytest.mark.parametrize("option,value", [("--g", "-2"), ("--hbar-omega0", "4"),
-                                          ("--mass-ratio", "0.1")])
-def test_estimates_replaces_the_given_values_of_the_gaas_dot(capsys, option, value):
-    field = option[2:].replace("-", "_")
-    params = quantum_dot.DotParameters.gaas()._replace(**{field: float(value)})
+@pytest.mark.parametrize("given", [{"--g": "-2"}, {"--hbar-omega0": "4"}, {"--mass-ratio": "0.1"},
+                                   {"--d": "0.6", "--hbar-omega0": "4"}],
+                         ids=lambda given: "-".join(f"{o}-{v}" for o, v in given.items()))
+def test_estimates_replaces_the_given_values_of_the_gaas_dot(capsys, given):
+    params = quantum_dot.DotParameters.gaas()._replace(
+        **{option[2:].replace("-", "_"): float(value) for option, value in given.items()})
     est = quantum_dot.physical_estimates(params)
     doc = {"a_B_nm": est.a_b_nm, "spin_orbit_ratio": est.spin_orbit_ratio,
            "dipole_meV": est.dipole_mev}
-    assert run_cli(capsys, "estimates", option, value) == (0, cli._dumps(doc) + "\n", "")
+    argv = [word for option_value in given.items() for word in option_value]
+    assert run_cli(capsys, "estimates", *argv) == (0, cli._dumps(doc) + "\n", "")
 
 
 def test_estimates_given_every_gaas_value_prints_the_bare_bytes(capsys):
@@ -549,7 +573,8 @@ def test_bad_inputs_exit_one_with_one_error_line(capsys, tmp_path, argv, files, 
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert message in err
+    # a message given as a whole line is the whole of stderr
+    assert err == message if message.startswith("error: ") else message in err
 
 
 @pytest.mark.parametrize("error,message", [
@@ -602,7 +627,7 @@ def test_transform_is_linear_and_analyze_needs_unit_norm(tmp_path, capsys):
     assert double_doc["amplitudes"] != unit_doc["amplitudes"]
     code, out, err = run_cli(capsys, "analyze", "--qubits", "2", "--in", str(double))
     assert code == 1 and out == ""
-    assert err.startswith("error: state norm 2.0")
+    assert err == "error: state norm 2.0 deviates from 1 by more than 1e-06\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -634,7 +659,18 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --epsilon 20\n")
+    assert capsys.readouterr().err.endswith(
+        "\nspinhier: error: unrecognized arguments: --epsilon 20\n")
+    # argparse reads "-pi", and before Python 3.12 "-1e-3", after a space as an option name
+    refused = {"--area": ["pulse", "--j0", "-1", "--area", "-pi"]}
+    if sys.version_info < (3, 12):
+        refused["--j0"] = ["pulse", "--j0", "-1e-3", "--area=-pi"]
+    for option, argv in refused.items():
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"spinhier pulse: error: argument {option}: expected one argument\n")
 
 
 def test_every_subcommand_has_help(capsys):

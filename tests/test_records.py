@@ -134,8 +134,9 @@ def test_tree_node_refuses_a_block_no_tree_has(offset, num_qubits, message):
         TreeNode(offset, num_qubits)
 
 
-def test_tree_nodes_are_the_blocks_of_their_tree():
-    tree = CouplingTree(8)
+@pytest.mark.parametrize("num_qubits", [8, np.int64(4096)], ids=["8", "int64-4096"])
+def test_tree_nodes_are_the_blocks_of_their_tree(num_qubits):
+    tree = CouplingTree(num_qubits)
     assert TreeNode(np.int64(4), np.int64(2)) == tree.nodes_at_level(1)[2]
     assert type(TreeNode(np.int64(4), 2).offset) is int
     for level in range(tree.levels + 1):
@@ -145,7 +146,7 @@ def test_tree_nodes_are_the_blocks_of_their_tree():
                 assert (node.left, node.right) == (TreeNode(node.offset, node.num_qubits // 2),
                                                    TreeNode(node.offset + node.num_qubits // 2,
                                                             node.num_qubits // 2))
-    assert tree.root == TreeNode(0, 8)
+    assert tree.root == TreeNode(0, num_qubits)
 
 
 def test_replace_and_make_keep_the_checked_values():
