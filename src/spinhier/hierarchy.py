@@ -169,7 +169,9 @@ def _transform(num_qubits: int) -> np.ndarray:
     U_{n/2} x U_{n/2} of all its pairs of child (path, J) groups times the
     entry's pair block, in one product, written to the scatters.  The largest
     temporary is one entry's columns, 165,888 bytes at 8 qubits (2j_l = 2j_r
-    = 2), against 512 KB for a whole 2^8 x 2^8 Kronecker product."""
+    = 2), against 512 KB for a whole 2^8 x 2^8 Kronecker product.  Checks
+    the dense cap before it builds anything."""
+    _check_dense(num_qubits)
     if num_qubits == 1:
         matrix = np.eye(2)
     else:
@@ -177,7 +179,7 @@ def _transform(num_qubits: int) -> np.ndarray:
         dim = len(u_half)
         matrix = np.empty((dim * dim, dim * dim))
         for tj_l, tj_r, gathers, scatters in _plan(num_qubits)[1]:
-            block = couple_pair_matrix(SpinLabel(tj_l), SpinLabel(tj_r))
+            block = couple_pair_matrix(_spin_label(tj_l), _spin_label(tj_r))
             columns = u_half[:, None, gathers // dim] * u_half[None, :, gathers % dim]
             matrix[:, scatters] = columns.reshape(dim * dim, *gathers.shape) @ block
     matrix.flags.writeable = False
@@ -207,13 +209,17 @@ class _LevelGroups(namedtuple("_LevelGroups", "labels label_id fine_id num_fine"
 _spin_label = cache(SpinLabel)
 
 
+def _spin_rows(rows: np.ndarray):
+    """Each row of a 2-D integer array of spins 2j as a tuple of the shared
+    records of :func:`_spin_label`, one record per 2j."""
+    return map(tuple, np.frompyfunc(_spin_label, 1, 1)(rows).tolist())
+
+
 @cache
 def _basis_states(num_qubits: int) -> tuple[MultipletBasisState, ...]:
-    return tuple(
-        MultipletBasisState(tuple(_spin_label(t) for t in row[:-2]),
-                            MultipletLabel(row[-2], row[-1]))
-        for row in _plan(num_qubits)[0].tolist()
-    )
+    table, _ = _plan(num_qubits)
+    return tuple(map(MultipletBasisState, _spin_rows(table[:, :-2]),
+                     map(MultipletLabel, *table[:, -2:].T.tolist())))
 
 
 @cache
@@ -240,8 +246,7 @@ def _groups_at(num_qubits: int, level: int) -> _LevelGroups:
     fine_parts, fine_id = np.unique(_row_keys(table[:, np.flatnonzero(node_levels < level)]),
                                     return_inverse=True)
     label_id.flags.writeable = fine_id.flags.writeable = False
-    labels = tuple(LevelLabel(tuple(_spin_label(t) for t in row[:-2]), row[-1])
-                   for row in coarse[first].tolist())
+    labels = tuple(map(LevelLabel, _spin_rows(coarse[first, :-2]), coarse[first, -1].tolist()))
     return _LevelGroups(labels, label_id, fine_id, len(fine_parts))
 
 
@@ -258,7 +263,6 @@ def hierarchic_transform(tree: CouplingTree) -> np.ndarray:
     The result is the cached matrix itself and is read-only: writing to it
     raises ``ValueError``; copy it first to modify it.
     """
-    _check_dense(tree.num_qubits)
     return _transform(tree.num_qubits)
 
 
@@ -308,7 +312,7 @@ def _check_state(state, tree: CouplingTree) -> np.ndarray:
 def _apply_transform(vector: np.ndarray, num_qubits: int, inverse: bool = False) -> np.ndarray:
     """U^T v, the hierarchic amplitudes of v, or with ``inverse`` U v: the
     real U applied to each part of the complex v, so U is never made complex.
-    The one apply of the transform; callers check the register size."""
+    The one apply of the transform."""
     # One 256 x 2 real product on the (re, im) columns of v was measured: it moved
     # the forward amplitudes by up to 6.0e-16, which would change the bytes the
     # CLI `transform` prints, so the apply keeps two matrix-vector products.
@@ -391,7 +395,9 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     operator = np.eye(2 ** tree.num_qubits, dtype=complex)
     for key, block in blocks.items():
         if isinstance(key, MultipletLabel):
-            key = LevelLabel((SpinLabel(key.twice_j),), key.twice_m)
+            # a 1-qubit tree has no internal node: its J = 1/2 labels carry no spins
+            one_qubit = tree.num_qubits == 1 and key.twice_j == 1
+            key = LevelLabel(() if one_qubit else (_spin_label(key.twice_j),), key.twice_m)
         if key not in groups.labels:
             raise ValueError(f"no basis states carry label {key} at level {level}")
         indices = np.flatnonzero(groups.label_id == groups.labels.index(key))

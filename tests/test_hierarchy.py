@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,53 @@ def test_level_groups_match_the_record_sort(num_qubits):
     assert hi._groups_at(num_qubits, 0).num_fine == 1
 
 
+def _typed(record):
+    """A label record as nested (type, value) pairs, so that two records
+    compare equal only when their types agree at every depth."""
+    if isinstance(record, tuple):
+        return type(record), tuple(_typed(field) for field in record)
+    return type(record), record
+
+
+def _old_records(num_qubits, level):
+    """The records as built before the shared row map, one generator per row:
+    the basis states for ``level`` None, else the coarse labels at ``level``."""
+    table, _ = hi._plan(num_qubits)
+    if level is None:
+        return tuple(hi.MultipletBasisState(tuple(hi._spin_label(t) for t in row[:-2]),
+                                            MultipletLabel(row[-2], row[-1]))
+                     for row in table.tolist())
+    node_levels = np.array(hi._postorder_levels(num_qubits))
+    coarse = np.flatnonzero(np.append(node_levels >= level, [False, True]))
+    _, first = _record_sort_first_seen(table[:, coarse])
+    return tuple(hi.LevelLabel(tuple(hi._spin_label(t) for t in row[:-1]), row[-1])
+                 for row in table[np.ix_(first, coarse)].tolist())
+
+
+def _spins(record):
+    return record.path if isinstance(record, hi.MultipletBasisState) else record.spins
+
+
+@pytest.mark.parametrize("num_qubits,level", [
+    *[(n, None) for n in (1, 2, 4, 8)],
+    *[(n, level) for n in (1, 2, 4, 8) for level in range(n.bit_length())],
+    (16, 2), (16, 3),
+], ids=lambda value: "basis" if value is None else str(value))
+def test_shared_row_map_builds_the_old_records(num_qubits, level):
+    new = hi._basis_states(num_qubits) if level is None else hi._groups_at(num_qubits, level).labels
+    old = _old_records(num_qubits, level)
+    assert new == old
+    # the old records are MultipletBasisState of SpinLabel and MultipletLabel,
+    # or LevelLabel of SpinLabel, with int fields
+    assert [_typed(record) for record in new] == [_typed(record) for record in old]
+    # one SpinLabel object per 2j across all records
+    shared = {}
+    for record in new:
+        for spin in _spins(record):
+            assert shared.setdefault(spin.twice_j, spin) is spin
+    assert all(spin is hi._spin_label(twice_j) for twice_j, spin in shared.items())
+
+
 def test_levels_zero_and_one_share_one_label_group():
     tree = hi.build_coupling_tree(8)
     state = np.random.default_rng(13).standard_normal(256)
@@ -335,6 +383,19 @@ def test_transform_rejects_oversized_register():
     tree = hi.build_coupling_tree(16)
     with pytest.raises(ValueError):
         hi.hierarchic_transform(tree)
+
+
+def test_transform_build_checks_the_dense_cap_before_it_allocates():
+    # the cap sits in the one dense build, so no caller reaches a 2^16 x 2^16
+    # allocation without it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"at most 8 qubits \(16 requested\)"):
+            hi._transform(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_dense_entry_points_reject_sixteen_qubits():
@@ -553,6 +614,19 @@ def test_conditioned_block_shape_error():
         hi.conditioned_operator(tree, 1, {MultipletLabel(0, 0): np.eye(2)})
     with pytest.raises(ValueError):
         hi.conditioned_operator(tree, 1, {MultipletLabel(6, 0): np.eye(1)})
+
+
+def test_conditioned_operator_on_one_qubit_takes_the_register_label():
+    # a 1-qubit tree has no internal node, so its labels carry no spins, and a
+    # J = 1/2 key addresses LevelLabel((), M)
+    tree = hi.build_coupling_tree(1)
+    assert hi.level_labels(tree, 0) == [hi.LevelLabel((), -1), hi.LevelLabel((), 1)]
+    op = hi.conditioned_operator(tree, 0, {MultipletLabel(1, 1): [[1j]]})
+    assert np.array_equal(op, np.diag([1, 1j]))
+    assert np.array_equal(op, hi.conditioned_operator(tree, 0, {hi.LevelLabel((), 1): [[1j]]}))
+    key = re.escape(str(hi.LevelLabel((SpinLabel(3),), 1)))
+    with pytest.raises(ValueError, match=f"^no basis states carry label {key} at level 0$"):
+        hi.conditioned_operator(tree, 0, {MultipletLabel(3, 1): [[1j]]})
 
 
 SINGLET_KEY = re.escape(str(hi.LevelLabel((SpinLabel(0),), 0)))

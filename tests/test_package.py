@@ -2,7 +2,8 @@
 integer and scalar subcommands, a dot layer that loads numpy only in its
 array functions, no ``dataclasses`` anywhere, the names the
 numerical modules re-export, no unused imports in the package sources, one
-float conversion of real arrays, and Python 3.10 grammar in every source."""
+float conversion of real arrays, one constructor of spin records in
+``hierarchy``, and Python 3.10 grammar in every source."""
 
 import ast
 import importlib
@@ -108,6 +109,21 @@ def test_element_and_matrix_checks_are_defined_once_in_register():
         defined = {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(node, ast.FunctionDef)}
         assert path.name == "register.py" or not defined & {"_check_all", "_square"}, path.name
+
+
+def test_hierarchy_makes_spin_records_only_through_its_cached_constructor():
+    # one constructor keeps one SpinLabel object per 2j across all label records
+    assert hierarchy._spin_label.__wrapped__ is register.SpinLabel
+    tree = ast.parse(Path(hierarchy.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "SpinLabel"]
+    assert calls == []
+    # the one read of the name is the argument of `_spin_label = cache(SpinLabel)`
+    wraps = [node.value.args for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and [ast.unparse(target) for target in node.targets] == ["_spin_label"]]
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "SpinLabel"]
+    assert len(wraps) == 1 and wraps[0] == reads
 
 
 def _unused_imports(path):
