@@ -240,6 +240,11 @@ def _cmd_pulse(args) -> dict:
     }
 
 
+# The most float64 values one numpy array can hold (2^60 - 1 on a 64-bit
+# build); np.linspace raises an IndexError on some larger counts.
+_MAX_POINTS = sys.maxsize // 8
+
+
 def _cmd_jsweep(args) -> str:
     import numpy as np
     from . import quantum_dot
@@ -250,6 +255,8 @@ def _cmd_jsweep(args) -> str:
         raise ValueError(f"--bmin {bmin} exceeds --bmax {bmax}")
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if args.points > _MAX_POINTS:
+        raise ValueError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
     # an overflow gives inf or nan, which the check below rejects
     with np.errstate(all="ignore"):
         fields = np.linspace(bmin, bmax, args.points)

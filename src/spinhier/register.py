@@ -79,7 +79,7 @@ def _as_real(values, name: str, one_dimensional: bool = False):
     complex, text, bytes, dates and None among them, raises ValueError naming
     ``name``, where a float conversion would drop an imaginary part with only
     a warning or read text as numbers.  With ``one_dimensional``, so does any
-    shape but one axis.
+    shape but one axis, and so does a number beyond the float range.
     """
     import numpy as np
 
@@ -89,7 +89,10 @@ def _as_real(values, name: str, one_dimensional: bool = False):
         raise ValueError(f"{name} must be real, got dtype {values.dtype}")
     if one_dimensional and values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
-    return values.astype(float, copy=False)
+    try:
+        return values.astype(float, copy=False)
+    except OverflowError:  # an object array holding an int beyond the float range
+        raise ValueError(f"{name} must be finite, got a number too large for a float") from None
 
 
 def _check_all(ok, values, message: str) -> None:
@@ -106,12 +109,15 @@ def _square(name: str, matrix):
     """``matrix`` as a numpy array, the one check of every matrix argument of
     the public API: a bool, integer, float or complex dtype, then a square
     2-D shape, then at least one entry, then finite entries; anything else
-    raises ValueError naming ``name``."""
+    raises ValueError naming ``name``.  A bool matrix comes back as its 0/1
+    floats, since numpy's products of bools are logical."""
     import numpy as np
 
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be numeric, got dtype {matrix.dtype}")
+    if matrix.dtype.kind == "b":
+        matrix = _as_real(matrix, name)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
     if matrix.size == 0:

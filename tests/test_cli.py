@@ -486,6 +486,10 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["pulse", "--j0", "1e308", "--area", "pi"], {}, "accumulated pulse angle must be finite"),
     (["jsweep", "--points", "0"], {}, "--points must be >= 1, got 0"),
     (["jsweep", "--points", "-1"], {}, "--points must be >= 1, got -1"),
+    (["jsweep", "--points", str(2 ** 63 - 1)], {},
+     f"error: --points must be at most {2 ** 60 - 1}, got {2 ** 63 - 1}\n"),
+    (["jsweep", "--points", str(2 ** 63)], {},
+     f"error: --points must be at most {2 ** 60 - 1}, got {2 ** 63}\n"),
     (["jsweep", "--d", "1e-160", "--points", "3"], {},
      "exchange coupling must be finite, got inf"),
     (["jsweep", "--bmax", "1.7e308"], {},
@@ -550,7 +554,8 @@ def test_module_errors_exit_one(capsys, tmp_path):
         "estimates-nan", "haar-nan", "haar-inverse-inf", "haar-overflow", "jsweep-bmin-above-bmax",
         "deep-json", "analyze-overflow", "huge-int", "transform-inf", "decompose-4097",
         "pulse-duration-inf", "pulse-angle-overflow", "jsweep-points-0",
-        "jsweep-points-negative", "jsweep-d-underflow",
+        "jsweep-points-negative", "jsweep-points-2^63-1", "jsweep-points-2^63",
+        "jsweep-d-underflow",
         "jsweep-bmax-overflow", "jsweep-d-overflow", "estimates-g-overflow",
         "estimates-mass-underflow", "estimates-omega-underflow", "estimates-mass-overflow",
         "estimates-omega-overflow", "estimates-ratio-overflow", "bool-amplitudes",

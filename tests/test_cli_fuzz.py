@@ -1,6 +1,6 @@
-"""Fuzz of the CLI parsers: every area string, amplitude JSON text and CSV
-text ends in exit 0, exit 1 with one ``error:`` line, or an argparse usage
-error (exit 2), and never in another exception."""
+"""Fuzz of the CLI parsers: every area string, amplitude JSON text, CSV text
+and numeric option ends in exit 0, exit 1 with one ``error:`` line, or an
+argparse usage error (exit 2), and never in another exception."""
 
 import json
 
@@ -128,3 +128,18 @@ def test_float_options(capsys, command, data):
     if command == "jsweep":
         argv.append("--points=3")
     _run(capsys, argv)
+
+
+# Small counts, and counts of 2^62 or more, which are refused before anything
+# is allocated; the counts in between would allocate, so none is drawn.
+INTEGER_VALUES = st.one_of(st.integers(-10, 50), st.integers(min_value=2 ** 62))
+INTEGER_OPTIONS = [("jsweep", "--points"), ("ladder", "--levels"), ("decompose", "--qubits")]
+
+
+@pytest.mark.parametrize("command,option", INTEGER_OPTIONS, ids=[c for c, _ in INTEGER_OPTIONS])
+@FUZZ
+@given(value=INTEGER_VALUES)
+@example(value=2 ** 63 - 1)
+@example(value=2 ** 63)
+def test_integer_options(capsys, command, option, value):
+    _run(capsys, [command, f"{option}={value}"])

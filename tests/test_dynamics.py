@@ -137,19 +137,6 @@ def test_pulse_area_is_the_angle_of_one_step_per_segment(samples, duration):
     assert dynamics.evolve_pulse(profile, len(samples) - 1).tobytes() == expected.tobytes()
 
 
-def test_swap_pulse():
-    profile = dynamics.pulse_for_area(np.pi, 1.0)
-    u = dynamics.evolve_pulse(profile, 1024)
-    assert gates.gate_fidelity(u, gates.swap_gate()) == pytest.approx(1.0, abs=1e-8)
-    assert gates.unitarity_defect(u) < 1e-10
-
-
-def test_half_swap_pulse():
-    profile = dynamics.pulse_for_area(np.pi / 2, 1.0)
-    u = dynamics.evolve_pulse(profile, 1024)
-    assert gates.gate_fidelity(u, gates.sqrt_swap_gate()) == pytest.approx(1.0, abs=1e-8)
-
-
 def test_zero_area_pulse_is_identity():
     profile = dynamics.PulseProfile((0.0, 0.0), 1.0)
     assert np.max(np.abs(dynamics.evolve_pulse(profile, 16) - np.eye(4))) < 1e-12

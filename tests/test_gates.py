@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinhier import gates
+from spinhier import gates, register
 from spinhier.angular_momentum import SpinLabel, couple_pair_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -138,6 +138,28 @@ def test_gate_functions_refuse_empty_matrices(call, name):
     with pytest.raises(ValueError, match=f"^{name} must not be empty, got shape "
                                          r"\(0, 0\)$"):
         call()
+
+
+BOOL_SWAP = gates.swap_gate().astype(bool)
+BOOL_ONES = np.ones((2, 2), bool)
+
+
+@pytest.mark.parametrize("function,matrices", [
+    (gates.gate_fidelity, (BOOL_SWAP, BOOL_SWAP)),
+    (gates.unitarity_defect, (BOOL_ONES,)),
+    (gates.to_multiplet, (BOOL_ONES, np.triu(BOOL_ONES))),
+], ids=["fidelity-bool", "defect-bool", "multiplet-bool"])
+def test_gate_functions_compute_with_the_numbers_of_a_bool_matrix(function, matrices):
+    # before: numpy's logical products of bools gave a fidelity of 0.25 for
+    # SWAP with itself, a defect of 1.0 for the all-ones matrix and a
+    # multiplet op 1.0 off
+    want = function(*(matrix.astype(float) for matrix in matrices))
+    assert np.array_equal(function(*matrices), want)
+
+
+def test_float_and_complex_matrices_pass_the_check_uncopied():
+    for matrix in (np.eye(2), np.eye(2, dtype=complex)):
+        assert register._square("m", matrix) is matrix
 
 
 def test_to_multiplet_names_a_singular_basis():

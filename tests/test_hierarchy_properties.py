@@ -98,6 +98,9 @@ def test_reduce_matches_outer_product_oracle(case):
         want, want_labels = _reduce_oracle(state, tree, level)
         assert labels == want_labels
         assert np.max(np.abs(rho - want)) <= 1e-14
+        # a unit state's rho has unit trace and no negative eigenvalue
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
 @pytest.mark.parametrize("num_qubits", SIZES)

@@ -54,12 +54,15 @@ FLAT = "one-dimensional, got shape "
      "real, got dtype object"),
     (lambda: wv.pyramid_forward([None, 1.0, 2.0, 3.0], 1), "signal", "real, got dtype object"),
     (lambda: dynamics.PulseProfile([2 ** 70, 1j], 1.0), "samples", "real, got dtype object"),
+    (lambda: dynamics.PulseProfile([10 ** 400, 1], 1.0), "samples",
+     "finite, got a number too large for a float"),
 ], ids=["haar_step", "forward", "inverse_approximation", "inverse_detail",
         "bessel_i0", "bessel_i0-scalar", "exchange_coupling", "sweep_exchange",
         "sweep_exchange-list", "PulseProfile", "sweep_exchange-scalar", "sweep_exchange-2d",
         "PulseProfile-2d", "PulseProfile-scalar", "haar_step-2d", "exchange_coupling-text",
         "sweep_exchange-text", "bessel_i0-bytes", "sweep_exchange-datetime64",
-        "sweep_exchange-datetime", "forward-None", "PulseProfile-big-int-and-complex"])
+        "sweep_exchange-datetime", "forward-None", "PulseProfile-big-int-and-complex",
+        "PulseProfile-int-beyond-float"])
 def test_complex_or_misshapen_input_is_refused_without_a_warning(call, name, fault):
     # the suite turns warnings into errors, which callers outside it never see
     with warnings.catch_warnings(record=True) as caught:
