@@ -61,6 +61,14 @@ def test_tree_two_qubits_content():
     assert [(s.twice_j, m) for s, m in tree.root_content()] == [(2, 1), (0, 1)]
 
 
+def test_tree_four_qubits_content_matches_diagonalization_oracle():
+    tree = hi.build_coupling_tree(4)
+    got = {s.twice_j: m for s, m in tree.root_content()}
+    assert got == _content_by_diagonalization(4)
+    assert got == {4: 1, 2: 3, 0: 2}
+    assert sum((tj + 1) * mult for tj, mult in got.items()) == 16
+
+
 def test_tree_single_qubit_is_leaf():
     tree = hi.build_coupling_tree(1)
     assert tree.root.is_leaf
@@ -141,16 +149,16 @@ def test_tree_node_contents_match_coupling_reference():
 
 
 def test_tree_root_content_at_4096_qubits():
-    for n in (4, 4096):  # at 4 qubits, {2J: mult} is {4: 1, 2: 3, 0: 2}
-        content = [(s.twice_j, mult) for s, mult in hi.register_content(n)]
-        root = hi.build_coupling_tree(n).root_content()
-        assert [(s.twice_j, mult) for s, mult in root] == content
-        assert [tj for tj, _ in content] == list(range(n, -1, -2))
-        for k in [*range(0, n // 2, 37), n // 2]:  # a spread of k; math.comb is slow at 4096
-            assert content[k][1] == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        assert content[1] == (n - 2, n - 1)
-        assert content[-1] == (0, math.comb(n, n // 2) // (n // 2 + 1))  # Catalan number
-        assert sum((tj + 1) * mult for tj, mult in content) == 2 ** n
+    n = 4096
+    content = [(s.twice_j, mult) for s, mult in hi.register_content(n)]
+    root = hi.build_coupling_tree(n).root_content()
+    assert [(s.twice_j, mult) for s, mult in root] == content
+    assert [tj for tj, _ in content] == list(range(n, -1, -2))
+    for k in [*range(0, n // 2, 37), n // 2]:  # a spread of k; math.comb is slow at this size
+        assert content[k][1] == math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+    assert content[1] == (n - 2, n - 1)
+    assert content[-1] == (0, math.comb(n, n // 2) // (n // 2 + 1))  # Catalan number
+    assert sum((tj + 1) * mult for tj, mult in content) == 2 ** n
 
 
 # ------------------------------------------------------- hierarchic transform
@@ -645,6 +653,24 @@ def test_reduce_superposition_diagonal():
     triplet = labels.index(hi.LevelLabel((SpinLabel(2),), 0))
     assert rho[singlet, singlet].real == pytest.approx(a ** 2, abs=1e-12)
     assert rho[triplet, triplet].real == pytest.approx(b ** 2, abs=1e-12)
+
+
+def test_reduce_diagonal_matches_amplitude_sums():
+    rng = np.random.default_rng(23)
+    tree = hi.build_coupling_tree(4)
+    state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    state /= np.linalg.norm(state)
+    u = hi.hierarchic_transform(tree)
+    amplitudes = u.conj().T @ state
+    states = hi.multiplet_basis_states(tree)
+    rho, labels = hi.reduce_to_level(state, tree, 2)
+    for pos, label in enumerate(labels):
+        expected = sum(
+            abs(a) ** 2
+            for a, st in zip(amplitudes, states)
+            if (st.path[-1],) == label.spins and st.terminal.twice_m == label.twice_m
+        )
+        assert rho[pos, pos].real == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------- amplitudes of the last state held

@@ -111,3 +111,11 @@ def test_zeroing_details_of_constant_signal():
         tuple(np.zeros_like(d) for d in decomposition.details),
     )
     assert np.max(np.abs(wv.pyramid_inverse(cleaned) - 3.0)) < 1e-12
+
+
+def test_perfect_reconstruction_across_dyadic_lengths():
+    rng = np.random.default_rng(8)
+    for m in range(1, 17):
+        signal = rng.standard_normal(2 ** m)
+        decomposition = wv.pyramid_forward(signal, min(m, 6))
+        assert np.max(np.abs(wv.pyramid_inverse(decomposition) - signal)) < 1e-12
