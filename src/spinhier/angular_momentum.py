@@ -2,16 +2,16 @@
 
 Spin labels (angular momenta stored exactly as ``twice_j`` = 2j) are defined
 in ``register`` and re-exported here.  Coefficients follow the Condon-Shortley
-phase convention and are evaluated through the Racah closed-form sum in exact
-integer arithmetic; only the final square root is taken in floating point, so
-they are free of cancellation at every j.  Labels take any 2j; only this module
-caps it, at ``MAX_TWICE_J`` = 16 in ``cg`` and ``couple_pair_matrix``, as a
-cost guard on the factorials.
+phase convention and are evaluated through Racah's sum in binomial form, in
+exact integer arithmetic with ``math.comb``; only the final square root is
+taken in floating point, so they are free of cancellation at every j.  Labels
+take any 2j; only this module caps it, at ``MAX_TWICE_J`` = 16 in ``cg`` and
+``couple_pair_matrix``, as a cost guard on the exact integer sums.
 """
 
 from __future__ import annotations
 
-from math import factorial, lcm, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -26,45 +26,24 @@ def _check_supported(*twice_js: int) -> None:
 
 
 def _cg_value(tj1, tm1, tj2, tm2, tj, tm) -> float:
-    """Racah closed form for labels that pass every selection rule.
+    """Racah's sum in binomial form, for labels that pass every selection rule.
 
-    The alternating sum is one integer numerator over the lcm of its term
-    denominators, so the squared coefficient is a single int / int ratio,
-    which Python rounds correctly; only the square root is inexact.
+    With a = j1+j2-J, b = j1-j2+J, c = -j1+j2+J and ``comb`` zero past the
+    top, S = sum_k (-1)^k C(a, k) C(b, j1-m1-k) C(c, j2+m2-k) is an integer
+    with the sign of the coefficient, and CG^2 = S^2 C(2j1, a) C(2j2, a) /
+    [C(j1+j2+J+1, a) C(2j1, j1-m1) C(2j2, j2-m2) C(2J, J-M)] is one int / int
+    ratio, which Python rounds correctly; only the square root is inexact.
     """
     # All arguments below are guaranteed integral by the parity checks.
-    b1 = (tj1 + tj2 - tj) // 2
-    b2 = (tj1 - tm1) // 2
-    b3 = (tj2 + tm2) // 2
-    a1 = (tj - tj2 + tm1) // 2
-    a2 = (tj - tj1 - tm2) // 2
-    k_min = max(0, -a1, -a2)
-    dens = [
-        factorial(k) * factorial(b1 - k) * factorial(b2 - k) * factorial(b3 - k)
-        * factorial(a1 + k) * factorial(a2 + k)
-        for k in range(k_min, min(b1, b2, b3) + 1)
-    ]
-    common = lcm(*dens)
-    s = sum(-(common // den) if k % 2 else common // den
-            for k, den in enumerate(dens, k_min))
+    a, b, c = (tj1 + tj2 - tj) // 2, (tj1 - tj2 + tj) // 2, (tj2 - tj1 + tj) // 2
+    n1, n2 = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    s = sum((-1) ** k * comb(a, k) * comb(b, n1 - k) * comb(c, n2 - k)
+            for k in range(min(a, n1, n2) + 1))
     if s == 0:
         return 0.0
-    # Squared prefactor (triangle coefficient times the m factorials); the
-    # sign lives in the sum.
-    num2 = (
-        (tj + 1)
-        * factorial(b1)
-        * factorial((tj1 - tj2 + tj) // 2)
-        * factorial((-tj1 + tj2 + tj) // 2)
-        * factorial((tj + tm) // 2)
-        * factorial((tj - tm) // 2)
-        * factorial(b2)
-        * factorial((tj1 + tm1) // 2)
-        * factorial((tj2 - tm2) // 2)
-        * factorial(b3)
-    )
-    den2 = factorial((tj1 + tj2 + tj) // 2 + 1) * common * common
-    root = sqrt(num2 * s * s / den2)
+    root = sqrt(s * s * comb(tj1, a) * comb(tj2, a)
+                / (comb(a + b + c + 1, a) * comb(tj1, n1)
+                   * comb(tj2, (tj2 - tm2) // 2) * comb(tj, (tj - tm) // 2)))
     return root if s > 0 else -root
 
 

@@ -10,6 +10,7 @@ form per segment: the cost is O(len(samples)), independent of the step count.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -67,9 +68,15 @@ def heisenberg_hamiltonian(j_mev: float) -> np.ndarray:
 
 
 def zeeman_hamiltonian(b_tesla: float, g: float) -> np.ndarray:
-    """Zeeman term g * mu_B * B * (S_1z + S_2z) for a field along z (meV)."""
+    """Zeeman term g * mu_B * B * (S_1z + S_2z) for a field along z (meV).
+
+    Raises ValueError when g * mu_B * B leaves the float range.
+    """
     b_tesla, g = map(_as_float, ("b_tesla", "g"), (b_tesla, g))
-    return g * MU_B_MEV_PER_T * b_tesla * TOTAL_SZ
+    energy = g * MU_B_MEV_PER_T * b_tesla
+    if not math.isfinite(energy):
+        raise ValueError("Zeeman energy falls outside the float range for these arguments")
+    return energy * TOTAL_SZ
 
 
 def _midpoint_sum(j: np.ndarray, steps: int) -> float:

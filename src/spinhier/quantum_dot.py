@@ -62,8 +62,14 @@ class PhysicalEstimates(namedtuple("PhysicalEstimates", "a_b_nm spin_orbit_ratio
 
 
 def bohr_radius(p: DotParameters) -> float:
-    """Confinement length sqrt(hbar / (m omega0)) in nm (about 20 nm for GaAs)."""
-    return HBARC_MEV_NM / math.sqrt(p.mass_ratio * MEC2_MEV * p.hbar_omega0)
+    """Confinement length sqrt(hbar / (m omega0)) in nm (about 20 nm for GaAs).
+
+    Raises ValueError when it leaves the float range.
+    """
+    m_omega0 = p.mass_ratio * MEC2_MEV * p.hbar_omega0
+    if not 0.0 < m_omega0 < math.inf:  # a_B would divide by zero or be 0.0
+        raise ValueError("Bohr radius falls outside the float range for these parameters")
+    return HBARC_MEV_NM / math.sqrt(m_omega0)
 
 
 def physical_estimates(p: DotParameters) -> PhysicalEstimates:
@@ -79,7 +85,8 @@ def physical_estimates(p: DotParameters) -> PhysicalEstimates:
         spin_orbit = p.hbar_omega0 / (2.0 * p.mass_ratio * MEC2_MEV)
         dipole = (p.g ** 2 * E2_MEV_NM * HBARC_MEV_NM ** 2
                   / (4.0 * MEC2_MEV ** 2 * a_b ** 3))
-    except (OverflowError, ZeroDivisionError):  # float ** overflows, a_B underflows to 0
+    # a_B leaves the range, a float ** overflows or a_B^3 underflows to 0
+    except (ValueError, OverflowError, ZeroDivisionError):
         a_b = spin_orbit = dipole = math.inf
     if not all(map(math.isfinite, (a_b, spin_orbit, dipole))):
         raise ValueError("scale estimates fall outside the float range for these parameters")
@@ -112,8 +119,14 @@ def dimensionless_field(p: DotParameters) -> float:
 
 
 def coulomb_parameter(p: DotParameters) -> float:
-    """Dimensionless Coulomb strength sqrt(pi/2) * (e^2 / eps a_B) / (hbar omega0)."""
-    return math.sqrt(math.pi / 2) * (E2_MEV_NM / (p.epsilon * bohr_radius(p))) / p.hbar_omega0
+    """Dimensionless Coulomb strength sqrt(pi/2) * (e^2 / eps a_B) / (hbar omega0).
+
+    Raises ValueError when it leaves the float range.
+    """
+    c = math.sqrt(math.pi / 2) * (E2_MEV_NM / (p.epsilon * bohr_radius(p))) / p.hbar_omega0
+    if c == math.inf:
+        raise ValueError("Coulomb parameter falls outside the float range for these parameters")
+    return c
 
 
 def bessel_i0(x):
@@ -194,11 +207,19 @@ def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,
 
     V = (m omega0^2 / 2) [ (x^2 - a^2)^2 / (4 a^2) + y^2 ] with well minima at
     (+-a, 0); the barrier height at the origin is (hbar omega0 / 8) d^2.
+    Raises ValueError when the potential or a term of it leaves the float range.
     """
     x_nm, y_nm, e_bias_v_per_nm = map(_as_float, ("x_nm", "y_nm", "e_bias_v_per_nm"),
                                       (x_nm, y_nm, e_bias_v_per_nm))
-    a = p.d * bohr_radius(p)
-    stiffness = p.hbar_omega0 / bohr_radius(p) ** 2  # m omega0^2 in meV / nm^2
-    well = 0.5 * stiffness * ((x_nm ** 2 - a ** 2) ** 2 / (4.0 * a ** 2) + y_nm ** 2)
+    a_b = bohr_radius(p)
+    a = p.d * a_b
+    try:
+        stiffness = p.hbar_omega0 / a_b ** 2  # m omega0^2 in meV / nm^2
+        well = 0.5 * stiffness * ((x_nm ** 2 - a ** 2) ** 2 / (4.0 * a ** 2) + y_nm ** 2)
+    except (OverflowError, ZeroDivisionError):  # a float ** overflows, or a^2 underflows to 0
+        well = math.inf
     bias = 1000.0 * x_nm * e_bias_v_per_nm  # e * x * E, volts -> meV
-    return well + bias
+    potential = well + bias
+    if not math.isfinite(potential):
+        raise ValueError("confinement potential falls outside the float range for these arguments")
+    return potential

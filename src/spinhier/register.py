@@ -20,7 +20,8 @@ import operator
 from collections import namedtuple
 from functools import cache
 
-# Largest 2j that cg and couple_pair_matrix accept, a cost guard only they check.
+# Largest 2j that cg and couple_pair_matrix accept, a cost guard on their exact
+# binomial sums that only they check.
 MAX_TWICE_J = 16
 # The one register-size limit: content, coupling tree and ladder (2^12 qubits).
 MAX_TREE_QUBITS = 4096
@@ -109,14 +110,15 @@ def _square(name: str, matrix):
     """``matrix`` as a numpy array, the one check of every matrix argument of
     the public API: a bool, integer, float or complex dtype, then a square
     2-D shape, then at least one entry, then finite entries; anything else
-    raises ValueError naming ``name``.  A bool matrix comes back as its 0/1
-    floats, since numpy's products of bools are logical."""
+    raises ValueError naming ``name``.  A bool or integer matrix comes back as
+    floats, since numpy's products of bools are logical and those of
+    fixed-width integers wrap around; a float or complex one is not copied."""
     import numpy as np
 
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be numeric, got dtype {matrix.dtype}")
-    if matrix.dtype.kind == "b":
+    if matrix.dtype.kind in "biu":
         matrix = _as_real(matrix, name)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")

@@ -1,6 +1,7 @@
 """Clebsch-Gordan coefficients against a ladder-operator oracle, an exact
 rational Racah reference and the textbook pair-coupling fixture."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -165,7 +166,7 @@ def test_labels_accept_every_integer_type_but_bool():
 
 
 def test_cg_computes_with_the_checked_magnetic_numbers():
-    # a fixed-width 2m, as given, would wrap in the Racah sum (-a1 of a uint8)
+    # a fixed-width 2m, as given, would wrap in the Racah sum's integer arithmetic
     target = MultipletLabel(16, 16)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -249,6 +250,19 @@ def test_couple_pair_matrix_entries_are_cg():
             expected = np.array([[cg(j1, m1, j2, m2, t) for t in cols] for m1, m2 in rows])
             assert couple_pair_matrix(j1, j2).tobytes() == expected.tobytes()
             assert _pair_columns(tj1, tj2) == [(t.twice_j, t.twice_m) for t in cols]
+
+
+# SHA-256 of the bytes of every pair block with 2j1, 2j2 in 0..16, 2j1 outer,
+# as the factorial form of the Racah sum built them before the binomial form
+PAIR_BLOCKS_SHA256 = "2d3cb443063af495804968a95cb0eea3d2de9f5a5c0d60008bf257b74d17ffbc"
+
+
+def test_every_pair_block_keeps_its_bytes():
+    digest = hashlib.sha256()
+    for tj1 in range(17):
+        for tj2 in range(17):
+            digest.update(couple_pair_matrix(SpinLabel(tj1), SpinLabel(tj2)).tobytes())
+    assert digest.hexdigest() == PAIR_BLOCKS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,12 @@ def test_zeeman_diagonal_pattern():
     assert splitting == pytest.approx(0.0254689, abs=1e-6)
 
 
+def test_zeeman_energy_beyond_the_float_range_is_refused():
+    # before: inf * 0 gave nan entries with a RuntimeWarning
+    with pytest.raises(ValueError, match="^Zeeman energy falls outside the float range "):
+        dynamics.zeeman_hamiltonian(1e308, 1e308)
+
+
 def test_zeeman_and_exchange_exponentials_commute():
     h_s = dynamics.heisenberg_hamiltonian(1.3)
     h_z = dynamics.zeeman_hamiltonian(0.9, -0.44)

@@ -142,17 +142,25 @@ def test_gate_functions_refuse_empty_matrices(call, name):
 
 BOOL_SWAP = gates.swap_gate().astype(bool)
 BOOL_ONES = np.ones((2, 2), bool)
+UINT8_200 = np.full((1, 1), 200, np.uint8)
 
 
 @pytest.mark.parametrize("function,matrices", [
     (gates.gate_fidelity, (BOOL_SWAP, BOOL_SWAP)),
     (gates.unitarity_defect, (BOOL_ONES,)),
     (gates.to_multiplet, (BOOL_ONES, np.triu(BOOL_ONES))),
-], ids=["fidelity-bool", "defect-bool", "multiplet-bool"])
+    (gates.gate_fidelity, (UINT8_200, UINT8_200)),
+    (gates.unitarity_defect, (np.full((1, 1), 16, np.uint8),)),
+    (gates.to_multiplet, (UINT8_200, np.full((1, 1), 2, np.uint8))),
+    (gates.unitarity_defect, (np.array([[2 ** 32]], np.int64),)),
+], ids=["fidelity-bool", "defect-bool", "multiplet-bool", "fidelity-uint8", "defect-uint8",
+        "multiplet-uint8", "defect-int64"])
 def test_gate_functions_compute_with_the_numbers_of_a_bool_matrix(function, matrices):
     # before: numpy's logical products of bools gave a fidelity of 0.25 for
     # SWAP with itself, a defect of 1.0 for the all-ones matrix and a
-    # multiplet op 1.0 off
+    # multiplet op 1.0 off; its wrapping integer products gave a fidelity of
+    # 64.0 for [[200]] as uint8 with itself and defects of 1.0 for [[16]] as
+    # uint8 and [[2^32]] as int64
     want = function(*(matrix.astype(float) for matrix in matrices))
     assert np.array_equal(function(*matrices), want)
 

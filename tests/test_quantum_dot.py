@@ -224,6 +224,28 @@ def test_confinement_potential_bias_term():
     assert tilted - flat == pytest.approx(1000.0 * x * 1e-3, rel=1e-12)
 
 
+# m omega0 underflows to 0.0, so a_B would divide by zero
+UNDERFLOWING = qd.DotParameters(g=-0.44, hbar_omega0=1e-320, mass_ratio=1e-300, epsilon=13.1,
+                                d=0.7)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: qd.bohr_radius(UNDERFLOWING), "Bohr radius"),
+    (lambda: qd.coulomb_parameter(UNDERFLOWING), "Bohr radius"),
+    (lambda: qd.sweep_exchange(UNDERFLOWING, [0.0]), "Bohr radius"),
+    (lambda: qd.coulomb_parameter(qd.DotParameters(g=-0.44, hbar_omega0=5e-324, mass_ratio=1e299,
+                                                   epsilon=13.1, d=0.7)), "Coulomb parameter"),
+    (lambda: qd.confinement_potential(1e200, 0.0, GAAS), "confinement potential"),
+], ids=["bohr_radius", "coulomb_parameter-bohr", "sweep_exchange-bohr", "coulomb_parameter",
+        "confinement_potential"])
+def test_results_beyond_the_float_range_are_refused(call, name):
+    # before: ZeroDivisionError from a_B, a Coulomb parameter of inf, and
+    # OverflowError from x_nm ** 2
+    with pytest.raises(ValueError, match=f"^{name} falls outside the float range ") as error:
+        call()
+    assert type(error.value) is ValueError
+
+
 def test_physical_estimates():
     est = qd.physical_estimates(GAAS)
     assert est.a_b_nm == qd.bohr_radius(GAAS)
