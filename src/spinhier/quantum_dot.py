@@ -5,9 +5,9 @@ along z.  The exchange splitting J between singlet and triplet is evaluated
 from its closed form in the dimensionless field b, the dimensionless
 half-distance d = a / a_B, and the Coulomb-strength parameter c.  All
 dimensionful outputs are meV and nm, derived from the pinned constants table.
-The parameter record, the scale estimates, ``bohr_radius``,
-``coulomb_parameter`` and ``confinement_potential`` are plain ``math``; numpy
-is imported only by the functions that compute on arrays.
+The parameter record, the scale estimates, ``bohr_radius`` and
+``coulomb_parameter`` are plain ``math``; numpy is imported only by the
+functions that compute on arrays.
 """
 
 from __future__ import annotations
@@ -101,21 +101,14 @@ class ExchangeResult(namedtuple("ExchangeResult", "b c j_mev")):
 
 
 def _dimensionless_fields(p: DotParameters, tesla):
-    """b at each field of ``tesla``, a float array its caller has converted."""
+    """b = sqrt(1 + (omega_L / omega0)^2) at each field of ``tesla``, a float array
+    its caller has converted; hbar omega_L = mu_B B / mass_ratio (Larmor frequency
+    eB / 2m), so b = 1 at zero field and b rises strictly with B."""
     import numpy as np
 
     _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
     larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
     return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
-
-
-def dimensionless_field(p: DotParameters) -> float:
-    """b = sqrt(1 + (omega_L / omega0)^2), with Larmor frequency eB / 2m.
-
-    hbar * omega_L equals mu_B * B / mass_ratio; b = 1 at zero field and
-    increases strictly with B.
-    """
-    return float(_dimensionless_fields(p, _as_real(p.b_field, "b_field")))
 
 
 def coulomb_parameter(p: DotParameters) -> float:
@@ -154,8 +147,8 @@ def exchange_coupling(b, d: float, c: float):
     ``b`` is a scalar (float result) or an array (array result).  The domain,
     b > 0, 2b - 1/b > 0 and b d^2 <= 700, is checked over every element;
     on it |d^2 (b - 1/b)| <= b d^2, so both Bessel arguments stay in range,
-    and the scaled evaluation below keeps every exponential from overflowing:
-    J is finite there unless c or 1/d nears the float range.
+    and the scaled evaluation below keeps every exponential from overflowing.
+    A J beyond the float range, where c or 1/d nears it, raises ValueError.
     """
     import numpy as np
 
@@ -164,25 +157,29 @@ def exchange_coupling(b, d: float, c: float):
         raise ValueError(f"half-distance d must be positive, got {d}")
     b = _as_real(b, "b")
     _check_all(b > 0, b, "field parameter b must be positive")
-    sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
-    _check_all(sinh_arg > 0, sinh_arg, "degenerate geometry: sinh argument must be positive")
-    u = b * d * d
-    ok = u <= BESSEL_MAX_ARG
-    if not ok.all():
-        raise ValueError(
-            f"b * d^2 = {u[~ok].flat[0]} at b = {b[~ok].flat[0]}, d = {d}: "
-            f"the Bessel argument must be in [0, {BESSEL_MAX_ARG}]"
-        )
-    # with 2b > 1/b, |v| <= u <= 700: both I0 arguments are in range, and I0 is even.
-    # Scaled terms keep every exponent <= 0: with I0e(x) = e^{-x} I0(x),
-    # e^{v} I0(|v|) = I0e(|v|) e^{v + |v|}, and 1/sinh(s) = -2 e^{-s} / expm1(-2s).
-    v = d * d * (b - 1.0 / b)
-    w = np.abs(v)
-    i0_u, i0_w = np.i0(np.stack((u, w)))  # one call; I0 is elementwise
-    decay = np.exp(-sinh_arg)
-    braces = np.exp(-u) * i0_u * decay - np.exp(-w) * i0_w * np.exp(v + w - sinh_arg)
-    j = (c * (np.sqrt(b) * braces) + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
-        -2.0 / np.expm1(-2.0 * sinh_arg))
+    # an overflow gives inf or nan, which the checks below refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinh_arg = 2.0 * d * d * (2.0 * b - 1.0 / b)
+        _check_all(sinh_arg > 0, sinh_arg, "degenerate geometry: sinh argument must be positive")
+        u = b * d * d
+        ok = u <= BESSEL_MAX_ARG
+        if not ok.all():
+            raise ValueError(
+                f"b * d^2 = {u[~ok].flat[0]} at b = {b[~ok].flat[0]}, d = {d}: "
+                f"the Bessel argument must be in [0, {BESSEL_MAX_ARG}]"
+            )
+        # with 2b > 1/b, |v| <= u <= 700: both I0 arguments are in range, and I0 is even.
+        # Scaled terms keep every exponent <= 0: with I0e(x) = e^{-x} I0(x),
+        # e^{v} I0(|v|) = I0e(|v|) e^{v + |v|}, and 1/sinh(s) = -2 e^{-s} / expm1(-2s).
+        v = d * d * (b - 1.0 / b)
+        w = np.abs(v)
+        i0_u, i0_w = np.i0(np.stack((u, w)))  # one call; I0 is elementwise
+        decay = np.exp(-sinh_arg)
+        braces = np.exp(-u) * i0_u * decay - np.exp(-w) * i0_w * np.exp(v + w - sinh_arg)
+        j = (c * (np.sqrt(b) * braces) + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
+            -2.0 / np.expm1(-2.0 * sinh_arg))
+    _check_all(np.isfinite(j), j,
+               "exchange coupling falls outside the float range for these parameters")
     return float(j) if j.ndim == 0 else j
 
 
@@ -194,32 +191,15 @@ def exchange_at_field(p: DotParameters, c: float | None = None) -> ExchangeResul
 def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[ExchangeResult]:
     """Exchange coupling across a sequence of field values, in input order,
     computed in one array pass."""
+    import numpy as np
+
     c = coulomb_parameter(p) if c is None else _as_float("c", c)
-    b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
-    j = exchange_coupling(b, p.d, c) * p.hbar_omega0
+    # an overflow gives inf, which exchange_coupling's b * d^2 check and the check below refuse
+    with np.errstate(over="ignore"):
+        b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
+        j = exchange_coupling(b, p.d, c) * p.hbar_omega0
+    _check_all(np.isfinite(j), j,
+               "exchange coupling falls outside the float range for these parameters")
     # tuple.__new__ is what ExchangeResult._make calls, minus a Python frame per point
     return list(map(tuple.__new__, repeat(ExchangeResult), zip(b.tolist(), repeat(c), j.tolist())))
 
-
-def confinement_potential(x_nm: float, y_nm: float, p: DotParameters,
-                          e_bias_v_per_nm: float = 0.0) -> float:
-    """Double-well potential (meV) at a point, plus the bias-field term e x E.
-
-    V = (m omega0^2 / 2) [ (x^2 - a^2)^2 / (4 a^2) + y^2 ] with well minima at
-    (+-a, 0); the barrier height at the origin is (hbar omega0 / 8) d^2.
-    Raises ValueError when the potential or a term of it leaves the float range.
-    """
-    x_nm, y_nm, e_bias_v_per_nm = map(_as_float, ("x_nm", "y_nm", "e_bias_v_per_nm"),
-                                      (x_nm, y_nm, e_bias_v_per_nm))
-    a_b = bohr_radius(p)
-    a = p.d * a_b
-    try:
-        stiffness = p.hbar_omega0 / a_b ** 2  # m omega0^2 in meV / nm^2
-        well = 0.5 * stiffness * ((x_nm ** 2 - a ** 2) ** 2 / (4.0 * a ** 2) + y_nm ** 2)
-    except (OverflowError, ZeroDivisionError):  # a float ** overflows, or a^2 underflows to 0
-        well = math.inf
-    bias = 1000.0 * x_nm * e_bias_v_per_nm  # e * x * E, volts -> meV
-    potential = well + bias
-    if not math.isfinite(potential):
-        raise ValueError("confinement potential falls outside the float range for these arguments")
-    return potential

@@ -491,7 +491,7 @@ def test_module_errors_exit_one(capsys, tmp_path):
     (["jsweep", "--points", str(2 ** 63)], {},
      f"error: --points must be at most {2 ** 60 - 1}, got {2 ** 63}\n"),
     (["jsweep", "--d", "1e-160", "--points", "3"], {},
-     "exchange coupling must be finite, got inf"),
+     "error: exchange coupling falls outside the float range for these parameters, got inf\n"),
     (["jsweep", "--bmax", "1.7e308"], {},
      "b * d^2 = inf at b = inf, d = 0.7: the Bessel argument must be in [0, 700.0]"),
     (["jsweep", "--d", "1e300"], {},

@@ -66,16 +66,12 @@ def test_bohr_radius_scaling():
 
 
 def test_dimensionless_field():
-    assert qd.dimensionless_field(GAAS) == 1.0
+    assert qd.exchange_at_field(GAAS).b == 1.0
     one_tesla = qd.DotParameters.gaas(b_field=1.0)
-    assert qd.dimensionless_field(one_tesla) == pytest.approx(1.0406401705756545, rel=1e-12)
+    assert qd.exchange_at_field(one_tesla).b == pytest.approx(1.0406401705756545, rel=1e-12)
     fields = np.linspace(0.0, 5.0, 50)
-    values = [qd.dimensionless_field(qd.DotParameters.gaas(b_field=b)) for b in fields]
+    values = [qd.exchange_at_field(qd.DotParameters.gaas(b_field=b)).b for b in fields]
     assert all(x < y for x, y in zip(values, values[1:]))
-    # a sweep's b column is the scalar b at each of its fields
-    assert [res.b for res in qd.sweep_exchange(GAAS, fields)] == values
-    with pytest.raises(ValueError):
-        qd.dimensionless_field(qd.DotParameters.gaas(b_field=-1.0))
 
 
 def test_coulomb_parameter():
@@ -174,6 +170,14 @@ def test_exchange_domain_errors():
             qd.exchange_coupling(np.array([1.0, bad]), 0.7, 2.36)
     with pytest.raises(ValueError, match="field must be finite"):
         qd.sweep_exchange(GAAS, [0.0, math.inf])
+    with pytest.raises(ValueError, match="field must be finite and non-negative"):
+        qd.exchange_at_field(qd.DotParameters.gaas(b_field=-1.0))
+    # b overflows to inf, which the b * d^2 check refuses without a numpy warning
+    with pytest.raises(ValueError, match=r"^b \* d\^2 = inf at b = inf"):
+        qd.sweep_exchange(GAAS, [1e200])
+    # 1/b overflows, so the sinh argument is -inf
+    with pytest.raises(ValueError, match="^degenerate geometry"):
+        qd.exchange_coupling(1e-320, 0.7, 1.0)
 
 
 def test_exchange_continuity_grid():
@@ -206,24 +210,6 @@ def test_exchange_at_field_uses_derived_coulomb():
         qd.exchange_coupling(1.0, 0.7, res.c) * 3.0, rel=1e-12)
 
 
-def test_confinement_potential_shape():
-    a = GAAS.d * qd.bohr_radius(GAAS)
-    assert qd.confinement_potential(a, 0.0, GAAS) == pytest.approx(0.0, abs=1e-12)
-    assert qd.confinement_potential(-a, 0.0, GAAS) == qd.confinement_potential(a, 0.0, GAAS)
-    barrier = qd.confinement_potential(0.0, 0.0, GAAS)
-    assert barrier == pytest.approx(GAAS.hbar_omega0 / 8 * GAAS.d ** 2, rel=1e-12)
-    for x in np.linspace(-3 * a, 3 * a, 41):
-        for y in (-5.0, 0.0, 5.0):
-            assert qd.confinement_potential(x, y, GAAS) >= 0.0
-
-
-def test_confinement_potential_bias_term():
-    x = 7.3
-    tilted = qd.confinement_potential(x, 0.0, GAAS, e_bias_v_per_nm=1e-3)
-    flat = qd.confinement_potential(x, 0.0, GAAS)
-    assert tilted - flat == pytest.approx(1000.0 * x * 1e-3, rel=1e-12)
-
-
 # m omega0 underflows to 0.0, so a_B would divide by zero
 UNDERFLOWING = qd.DotParameters(g=-0.44, hbar_omega0=1e-320, mass_ratio=1e-300, epsilon=13.1,
                                 d=0.7)
@@ -235,12 +221,17 @@ UNDERFLOWING = qd.DotParameters(g=-0.44, hbar_omega0=1e-320, mass_ratio=1e-300, 
     (lambda: qd.sweep_exchange(UNDERFLOWING, [0.0]), "Bohr radius"),
     (lambda: qd.coulomb_parameter(qd.DotParameters(g=-0.44, hbar_omega0=5e-324, mass_ratio=1e299,
                                                    epsilon=13.1, d=0.7)), "Coulomb parameter"),
-    (lambda: qd.confinement_potential(1e200, 0.0, GAAS), "confinement potential"),
+    # 1/sinh(2 d^2) overflows
+    (lambda: qd.exchange_coupling(1.0, 1e-155, 1.0), "exchange coupling"),
+    (lambda: qd.sweep_exchange(qd.DotParameters.gaas(d=1e-160), [0.0]), "exchange coupling"),
+    # J is finite in units of the confinement energy, J in meV is not
+    (lambda: qd.exchange_at_field(GAAS._replace(hbar_omega0=10.0), c=1.7e308),
+     "exchange coupling"),
 ], ids=["bohr_radius", "coulomb_parameter-bohr", "sweep_exchange-bohr", "coulomb_parameter",
-        "confinement_potential"])
+        "exchange_coupling", "sweep_exchange", "exchange_at_field"])
 def test_results_beyond_the_float_range_are_refused(call, name):
-    # before: ZeroDivisionError from a_B, a Coulomb parameter of inf, and
-    # OverflowError from x_nm ** 2
+    # before: ZeroDivisionError from a_B, a Coulomb parameter of inf, and J
+    # of inf with a RuntimeWarning
     with pytest.raises(ValueError, match=f"^{name} falls outside the float range ") as error:
         call()
     assert type(error.value) is ValueError

@@ -113,10 +113,6 @@ CONTRACT = {
     "exchange_coupling-c": ("c", lambda v: qd.exchange_coupling(1.2, 0.7, v), 2),
     "sweep_exchange-c": ("c", lambda v: qd.sweep_exchange(GAAS, [0.0, 1.0], v), 2),
     "exchange_at_field-c": ("c", lambda v: qd.exchange_at_field(GAAS, v), 2),
-    "confinement_potential-x_nm": ("x_nm", lambda v: qd.confinement_potential(v, 5.0, GAAS), 10),
-    "confinement_potential-y_nm": ("y_nm", lambda v: qd.confinement_potential(10.0, v, GAAS), 5),
-    "confinement_potential-e_bias_v_per_nm": (
-        "e_bias_v_per_nm", lambda v: qd.confinement_potential(10.0, 5.0, GAAS, v), 1),
     "PulseProfile-duration_ns": ("pulse duration", lambda v: dynamics.PulseProfile((1.0, 2.0), v),
                                  2),
     "heisenberg_hamiltonian": ("exchange coupling", dynamics.heisenberg_hamiltonian, 1),
