@@ -102,6 +102,12 @@ def _jsweep(**options):
     return cli._cmd_jsweep(args)
 
 
+def _estimates(**options):
+    args = argparse.Namespace(**{"g": None, "hbar_omega0": None, "mass_ratio": None, "d": None,
+                                 **options})
+    return cli._cmd_estimates(args)
+
+
 # (parameter name, call taking the value, a valid integer value)
 CONTRACT = {
     **{f"DotParameters-{name}": (name, _dot(name), valid) for name, valid in
@@ -124,6 +130,11 @@ CONTRACT = {
     "exchange_propagator": ("angle", gates.exchange_propagator, 2),
     "jsweep-bmin": ("--bmin", lambda v: _jsweep(bmin=v), 1),
     "jsweep-bmax": ("--bmax", lambda v: _jsweep(bmax=v), 2),
+    # the CLI keeps no copy of these checks: each option reaches the library's
+    "jsweep-d": ("d", lambda v: _jsweep(d=v), 1),
+    "jsweep-c": ("c", lambda v: _jsweep(c=v), 2),
+    **{f"estimates-{name}": (name, lambda v, name=name: _estimates(**{name: v}), valid)
+       for name, valid in [("g", -2), ("hbar_omega0", 3), ("mass_ratio", 1), ("d", 1)]},
 }
 
 
@@ -142,8 +153,10 @@ BAD = {"complex": (1 + 1j, "a real number"),
        "bool": (True, "a real number"), "str": ("1.0", "a real number"),
        "None": (None, "a real number"), "nan": (math.nan, "finite"), "inf": (math.inf, "finite"),
        "big-int": (10 ** 400, "finite")}
-# c=None is the documented default there: the record's own Coulomb parameter
-NONE_IS_DEFAULT = {"sweep_exchange-c", "exchange_at_field-c"}
+# c=None is the documented default there: the record's own Coulomb parameter;
+# an option left None keeps the GaAs dot's value
+NONE_IS_DEFAULT = {"sweep_exchange-c", "exchange_at_field-c", "jsweep-d", "jsweep-c",
+                   *(call for call in CONTRACT if call.startswith("estimates-"))}
 
 
 @pytest.mark.parametrize("call,bad,fault", [
