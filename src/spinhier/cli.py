@@ -11,8 +11,9 @@ only ``register``, ``constants`` and, for ``estimates``, the scalar
 functions of ``quantum_dot``.  Every number, in an option or an input line,
 is ASCII with no '_'.  A handler checks nothing that the library checks:
 ``transform`` and ``analyze`` call the hierarchy's state check and apply,
-``haar --inverse`` the pyramid's length and depth check, and ``pulse``
-leaves the finiteness of its area to ``pulse_for_area``.
+``haar --inverse`` the pyramid's length and depth check, ``haar`` the
+pyramid's refusal of a result that overflows, and ``pulse`` leaves the
+finiteness of its area to ``pulse_for_area``.
 
 Complex matrices and amplitude vectors are serialized as nested JSON arrays
 whose innermost elements are two-element [re, im] arrays.
@@ -270,19 +271,16 @@ def _cmd_haar(args) -> str:
 
     values = np.array([_float(line) for line in _read_text(args.infile).split()])
     register._check_all(np.isfinite(values), values, "input values must be finite")
-    # an overflow gives inf or nan, which the check below rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.inverse:
-            n = len(values)
-            offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
-            approx, *details = np.split(values, offsets)  # coarsest detail first
-            decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
-            out_values = wavelet.pyramid_inverse(decomposition)
-        else:
-            decomposition = wavelet.pyramid_forward(values, args.levels)
-            out_values = np.concatenate(  # coarsest detail first
-                [decomposition.approximation, *reversed(decomposition.details)])
-    register._check_all(np.isfinite(out_values), out_values, "result overflows the float range")
+    if args.inverse:
+        n = len(values)
+        offsets = [n >> level for level in range(wavelet._check_levels(n, args.levels), 0, -1)]
+        approx, *details = np.split(values, offsets)  # coarsest detail first
+        decomposition = wavelet.PyramidDecomposition(approx, tuple(reversed(details)))
+        out_values = wavelet.pyramid_inverse(decomposition)
+    else:
+        decomposition = wavelet.pyramid_forward(values, args.levels)
+        out_values = np.concatenate(  # coarsest detail first
+            [decomposition.approximation, *reversed(decomposition.details)])
     return _csv(out_values)
 
 

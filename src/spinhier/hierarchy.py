@@ -329,9 +329,9 @@ def _unit_amplitudes(state, tree: CouplingTree) -> np.ndarray:
     return _amplitudes_of(state.tobytes(), tree.num_qubits)
 
 
-# Keyed by content, never by identity, so a state written to in place between
-# two calls is computed again.  One entry: consecutive calls on an equal state
-# are the traffic this serves.
+# This cache and that of _rho_of are keyed by content, never by identity, so a
+# state written to in place between two calls is computed again.  One entry
+# each: consecutive calls on an equal state are the traffic they serve.
 @lru_cache(maxsize=1)
 def _amplitudes_of(data: bytes, num_qubits: int) -> np.ndarray:
     """The norm of the complex state held in ``data`` must be 1 within
@@ -363,18 +363,17 @@ def analyze_state(state: np.ndarray, tree: CouplingTree) -> LadderProfile:
     return LadderProfile(tuple(float(w) for w in weights[1:]), float(weights[0]))
 
 
-def _level_groups(tree: CouplingTree, level: int) -> _LevelGroups:
-    """Groups at a checked ``level`` of a dense-size tree.  Level 0 is served
-    by level 1's: every internal node sits at level >= 1, so both levels have
-    the same coarse and fine columns."""
+def _group_level(tree: CouplingTree, level) -> int:
+    """The checked ``level`` of a dense-size tree, with 0 read as 1: every
+    internal node sits at level >= 1, so both levels have the same coarse and
+    fine columns, and level 0 is served by level 1's groups and ρ."""
     _check_dense(tree.num_qubits)
-    level = _as_integer("level", level, range(tree.levels + 1))
-    return _groups_at(tree.num_qubits, max(level, 1))
+    return max(_as_integer("level", level, range(tree.levels + 1)), 1)
 
 
 def level_labels(tree: CouplingTree, level: int) -> list[LevelLabel]:
     """Distinct coarse labels at ``level``, in canonical basis order."""
-    return list(_level_groups(tree, level).labels)
+    return list(_groups_at(tree.num_qubits, _group_level(tree, level)).labels)
 
 
 def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
@@ -389,7 +388,7 @@ def conditioned_operator(tree: CouplingTree, level: int, blocks) -> np.ndarray:
     is not a mapping, and a block that is not a square numeric matrix of the
     label's size, raise ValueError.
     """
-    groups = _level_groups(tree, level)
+    groups = _groups_at(tree.num_qubits, _group_level(tree, level))
     if not isinstance(blocks, Mapping):
         raise ValueError(f"blocks must be a mapping, got {type(blocks).__name__}")
     operator = np.eye(2 ** tree.num_qubits, dtype=complex)
@@ -420,6 +419,23 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     carrying each label.  Returns ``(rho, labels)`` with labels in canonical
     order.
 
+    ``rho`` is read-only: writing to it raises ``ValueError``; copy it first
+    to modify it.  It is the one ρ held after the call, and levels 0 and 1 of
+    an equal state return the same array.  The level is checked first, then
+    the state's shape, then its norm; a refused state is refused on every
+    call and never held.
+    """
+    level = _group_level(tree, level)
+    state = _check_state(state, tree)
+    rho = _rho_of(state.tobytes(), tree.num_qubits, level)
+    return rho, list(_groups_at(tree.num_qubits, level).labels)
+
+
+@lru_cache(maxsize=1)
+def _rho_of(data: bytes, num_qubits: int, level: int) -> np.ndarray:
+    """Read-only ρ at a level >= 1 of the complex state held in ``data``,
+    through its amplitudes from :func:`_amplitudes_of`, which test its norm.
+
     With the amplitudes scattered into a (fine part x coarse label) array
     A = X + iY, rho = A^T A^* has real part X^T X + Y^T Y and imaginary part
     Y^T X - X^T Y.  Both come from one real product (a dgemm): [X; Y]^T times
@@ -430,8 +446,8 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     complex product took 148 us and the real one 67 us (one thread, OpenBLAS
     0.3.31, a 2-vCPU x86-64 host).
     """
-    groups = _level_groups(tree, level)
-    amplitudes = _unit_amplitudes(state, tree)
+    amplitudes = _amplitudes_of(data, num_qubits)
+    groups = _groups_at(num_qubits, level)
     num_fine, num_labels = groups.num_fine, len(groups.labels)
     parts = np.zeros((2, num_fine, num_labels))  # X over Y
     parts[:, groups.fine_id, groups.label_id] = amplitudes.view(float).reshape(-1, 2).T
@@ -440,4 +456,6 @@ def reduce_to_level(state: np.ndarray, tree: CouplingTree, level: int):
     np.negative(parts[1], out=rotated[0, ..., 1])
     rotated[1, ..., 1] = parts[0]
     rho = parts.reshape(2 * num_fine, num_labels).T @ rotated.reshape(2 * num_fine, -1)
-    return rho.view(complex), list(groups.labels)
+    rho = rho.view(complex)
+    rho.flags.writeable = False
+    return rho

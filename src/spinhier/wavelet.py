@@ -6,7 +6,9 @@ output the matching difference; iterating halves the resolution per level
 while conserving coefficient count and energy.  Each level is two strided
 slices of the whole array, combined with ufuncs that write straight into
 buffers the call allocates once: the levels of a call take turns in them, so
-no level allocates an array of its own.
+no level allocates an array of its own.  A result that an overflow leaves
+with inf or nan, like one from an input that is not finite, raises
+ValueError (``result overflows the float range, got inf``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .register import _as_integer, _as_real
+from .register import _as_integer, _as_real, _check_all
 
 _S = 1.0 / sqrt(2.0)
 
@@ -38,6 +40,12 @@ class PyramidDecomposition(namedtuple("PyramidDecomposition", "approximation det
 
     def coefficient_count(self) -> int:
         return len(self.approximation) + sum(len(d) for d in self.details)
+
+
+def _finite(result: np.ndarray) -> np.ndarray:
+    """``result``, refused through ``_check_all`` if it holds an inf or a nan."""
+    _check_all(np.isfinite(result), result, "result overflows the float range")
+    return result
 
 
 def _butterfly(x: np.ndarray, y: np.ndarray, low: np.ndarray, high: np.ndarray,
@@ -66,8 +74,9 @@ def haar_step(signal) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"signal length must be even and >= 2, got shape {signal.shape}")
     half = len(signal) // 2
     low, high = np.empty(half), np.empty(half)
-    _butterfly(signal[0::2], signal[1::2], low, high, np.empty(half))
-    return low, high
+    with np.errstate(over="ignore", invalid="ignore"):
+        _butterfly(signal[0::2], signal[1::2], low, high, np.empty(half))
+    return _finite(low), _finite(high)
 
 
 def _check_levels(n: int, levels) -> int:
@@ -84,27 +93,30 @@ def pyramid_forward(signal, levels: int) -> PyramidDecomposition:
     """Iterated Haar analysis down to the requested level.
 
     No two returned bands share memory, and none shares it with the input,
-    which is never written to.  The detail bands are cut, finest first, from
-    one array; the intermediate approximations take turns in the two parts
-    of another, and only the coarsest approximation is an array of its own.
+    which is never written to.  The bands are cut from one array of the
+    signal's length in the order the CLI prints them: the coarsest
+    approximation, then the details, coarsest first.  The intermediate
+    approximations take turns in the two parts of another.
     """
     signal = _as_real(signal, "signal", one_dimensional=True)
     n = len(signal)
     levels = _check_levels(n, levels)
     if levels == 0:
-        return PyramidDecomposition(approximation=signal.copy(), details=())
+        return PyramidDecomposition(approximation=_finite(signal.copy()), details=())
     scratch = np.empty(n // 2)
-    band_store = np.empty(n - (n >> levels))
+    coefficients = np.empty(n)
     pair = np.empty(n // 2 + n // 4)
     turns = (pair[:n // 2], pair[n // 2:])
-    approx, details, start = signal, [], 0
-    for level in range(levels):
-        half = len(approx) // 2
-        low = np.empty(half) if level == levels - 1 else turns[level % 2][:half]
-        high = band_store[start:start + half]
-        _butterfly(approx[0::2], approx[1::2], low, high, scratch[:half])
-        approx, start = low, start + half
-        details.append(high)
+    approx, details = signal, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(levels):
+            half = len(approx) // 2
+            low = coefficients[:half] if level == levels - 1 else turns[level % 2][:half]
+            high = coefficients[half:2 * half]
+            _butterfly(approx[0::2], approx[1::2], low, high, scratch[:half])
+            approx = low
+            details.append(high)
+    _finite(coefficients)
     return PyramidDecomposition(approximation=approx, details=tuple(details))
 
 
@@ -125,14 +137,15 @@ def pyramid_inverse(decomposition: PyramidDecomposition) -> np.ndarray:
         size *= 2
     _check_levels(size, len(bands))
     if not bands:
-        return approx.copy()
+        return _finite(approx.copy())
     scratch = np.empty(size // 2)
     out, spare = np.empty(size), np.empty(size // 2)
     # an odd number of levels starts in the output, so the last one ends there
     target, other = (out, spare) if len(bands) % 2 else (spare, out)
-    for high in bands:
-        half = len(approx)
-        signal = target[:2 * half]
-        _butterfly(approx, high, signal[0::2], signal[1::2], scratch[:half])
-        approx, target, other = signal, other, target
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for high in bands:
+            half = len(approx)
+            signal = target[:2 * half]
+            _butterfly(approx, high, signal[0::2], signal[1::2], scratch[:half])
+            approx, target, other = signal, other, target
+    return _finite(out)

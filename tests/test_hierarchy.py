@@ -350,6 +350,10 @@ def test_levels_zero_and_one_share_one_label_group():
     (rho0, labels0), (rho1, labels1) = (hi.reduce_to_level(state, tree, level) for level in (0, 1))
     assert np.array_equal(rho0, rho1) and labels0 == labels1
     assert hi._groups_at.cache_info().currsize == 1
+    # one held, read-only ρ serves both levels
+    assert rho0 is rho1
+    with pytest.raises(ValueError, match="read-only"):
+        rho0[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("num_qubits,types", [(1, 0), (2, 1), (4, 4), (8, 9), (16, 25)])
@@ -692,24 +696,36 @@ def test_descent_of_one_state_applies_the_transform_once():
     tree = hi.build_coupling_tree(8)
     state = _random_unit_state(29, 8)
     hi._amplitudes_of.cache_clear()
+    hi._rho_of.cache_clear()
     _descent(state, tree)
+    # level 1 reads the ρ of level 0 and does not reach the amplitudes
     info = hi._amplitudes_of.cache_info()
-    assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 4, 1, 1)
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 3, 1, 1)
+    info = hi._rho_of.cache_info()
+    assert (info.misses, info.hits, info.currsize, info.maxsize) == (3, 1, 1, 1)
     # an equal state in another array is a hit too
     _descent(state.copy(), tree)
     info = hi._amplitudes_of.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+    assert (info.misses, info.hits) == (1, 7)
+    info = hi._rho_of.cache_info()
+    assert (info.misses, info.hits) == (6, 2)
 
 
 def test_a_state_written_in_place_is_computed_again():
     tree = hi.build_coupling_tree(4)
     state = _random_unit_state(31, 4)
     before = hi.analyze_state(state, tree)
+    rho0, _ = hi.reduce_to_level(state, tree, 0)
     state[:] = 0.0
     state[-1] = 1.0  # all up: every weight in V_M
     after = hi.analyze_state(state, tree)
     assert after != before
     assert after == hi.LadderProfile((0.0, 0.0), 1.0)
+    # level 1 after level 0 shares its ρ only for an equal state
+    rho1, labels1 = hi.reduce_to_level(state, tree, 1)
+    top = labels1.index(hi.LevelLabel((SpinLabel(2), SpinLabel(2), SpinLabel(4)), 4))
+    assert rho1 is not rho0 and np.count_nonzero(rho0) > 1
+    assert rho1[top, top] == 1.0 and np.count_nonzero(rho1) == 1
     rho, labels = hi.reduce_to_level(state, tree, 2)
     top = labels.index(hi.LevelLabel((SpinLabel(4),), 4))
     assert rho[top, top] == 1.0 and np.count_nonzero(rho) == 1
@@ -760,6 +776,7 @@ def test_held_amplitudes_give_the_uncached_outputs_bit_for_bit(num_qubits, seed,
                  *(lambda level=level: hi.reduce_to_level(state, tree, level)
                    for level in range(tree.levels + 1))):
         hi._amplitudes_of.cache_clear()
+        hi._rho_of.cache_clear()
         uncached.append(call())
     assert cached[0] == uncached[0]
     for (rho, labels), (fresh_rho, fresh_labels) in zip(cached[1:], uncached[1:]):

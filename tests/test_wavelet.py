@@ -119,3 +119,20 @@ def test_perfect_reconstruction_across_dyadic_lengths():
         signal = rng.standard_normal(2 ** m)
         decomposition = wv.pyramid_forward(signal, min(m, 6))
         assert np.max(np.abs(wv.pyramid_inverse(decomposition) - signal)) < 1e-12
+
+
+# Warnings are errors in this suite, so each row also shows that no numpy
+# overflow warning escapes first.
+@pytest.mark.parametrize("call,value", [
+    # the approximation is inf and the coarsest detail nan: the first non-finite
+    # coefficient is named in the CLI's order, approximation first
+    (lambda: wv.pyramid_forward([1.7e308] * 4, 2), "inf"),
+    (lambda: wv.pyramid_forward([-1.7e308, -1.7e308], 1), "-inf"),
+    (lambda: wv.pyramid_inverse(wv.PyramidDecomposition([1.7e308], ([1.7e308],))), "inf"),
+    (lambda: wv.haar_step([1.7e308, 1.7e308]), "inf"),
+    (lambda: wv.pyramid_forward([np.nan, 0.0], 0), "nan"),
+    (lambda: wv.pyramid_inverse(wv.PyramidDecomposition([np.inf], ())), "inf"),
+], ids=["forward", "forward-negative", "inverse", "step", "nan-input", "inf-input"])
+def test_a_result_beyond_the_float_range_is_refused(call, value):
+    with pytest.raises(ValueError, match=f"^result overflows the float range, got {value}$"):
+        call()
