@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import HBAR_MEV_NS, MU_B_MEV_PER_T
 from .gates import S1Z, S2Z, exchange_propagator, swap_gate
-from .register import _CheckedRecord, _as_float, _as_integer, _as_real, _check_all
+from .register import _CheckedRecord, _as_float, _as_integer, _as_real, _finite
 
 SPIN_DOT = 0.5 * swap_gate() - 0.25 * np.eye(4)  # S1.S2 = P_swap / 2 - 1/4 (Dirac)
 
@@ -45,7 +45,7 @@ class PulseProfile(_CheckedRecord, namedtuple("PulseProfile", "samples duration_
         samples = _as_real(samples, "samples", one_dimensional=True)
         if len(samples) < 2:
             raise ValueError("a pulse needs at least 2 samples")
-        _check_all(np.isfinite(samples), samples, "pulse samples must be finite")
+        _finite(samples, "pulse samples must be finite")
         return tuple.__new__(cls, (tuple(samples.tolist()), duration_ns))
 
     def area(self) -> float:

@@ -13,13 +13,14 @@ from functools import cache
 
 import numpy as np
 
-from .register import _as_float, _as_integer, _square
+from .register import _as_float, _as_integer, _finite, _square
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U^dagger U - I."""
+    """Max-norm of U^dagger U - I; a defect beyond the float range raises ValueError."""
     u = _square("u", u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_finite(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))))
 
 
 # Single-qubit spin-z in the (down, up) basis.
@@ -49,13 +50,15 @@ def to_multiplet(op: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     ``a`` is the product-to-multiplet coupling matrix (columns are multiplet
     states in the product basis).  Similarity preserves the spectrum.  A
-    singular ``a`` raises ValueError.
+    singular ``a``, or a result with an entry beyond the float range, raises
+    ValueError.
     """
     op, a = _square("op", op), _square("a", a)
     if op.shape != a.shape:
         raise ValueError(f"dimension mismatch: op {op.shape} vs basis {a.shape}")
     try:
-        return np.linalg.solve(a, op @ a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.linalg.solve(a, op @ a))
     except np.linalg.LinAlgError:
         raise ValueError("a must be invertible, got a singular matrix") from None
 
@@ -129,9 +132,11 @@ def conditional_phase_flip() -> np.ndarray:
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|trace(U^dagger V)| / dim; equals 1 iff U and V agree up to a global phase.
 
-    The trace is ``np.vdot(u, v)``, the sum of conj(U) * V over all entries.
+    The trace is ``np.vdot(u, v)``, the sum of conj(U) * V over all entries;
+    a fidelity beyond the float range raises ValueError.
     """
     u, v = _square("u", u), _square("v", v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(abs(np.vdot(u, v)) / u.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_finite(abs(np.vdot(u, v)) / u.shape[0]))

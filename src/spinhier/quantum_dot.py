@@ -17,9 +17,10 @@ from collections import namedtuple
 from itertools import repeat
 
 from .constants import E2_MEV_NM, HBARC_MEV_NM, MEC2_MEV, MU_B_MEV_PER_T
-from .register import _CheckedRecord, _as_float, _as_real, _check_all
+from .register import _CheckedRecord, _as_float, _as_real, _check_all, _finite
 
 BESSEL_MAX_ARG = 700.0  # exp overflow guard
+_J_OVERFLOW = "exchange coupling falls outside the float range for these parameters"
 
 
 class DotParameters(_CheckedRecord, namedtuple(
@@ -106,7 +107,7 @@ def _dimensionless_fields(p: DotParameters, tesla):
     eB / 2m), so b = 1 at zero field and b rises strictly with B."""
     import numpy as np
 
-    _check_all(np.isfinite(tesla) & (tesla >= 0), tesla, "field must be finite and non-negative")
+    _check_all((tesla >= 0) & np.isfinite(tesla), tesla, "field must be finite and non-negative")
     larmor = MU_B_MEV_PER_T * tesla / p.mass_ratio
     return np.sqrt(1.0 + (larmor / p.hbar_omega0) ** 2)
 
@@ -178,8 +179,7 @@ def exchange_coupling(b, d: float, c: float):
         braces = np.exp(-u) * i0_u * decay - np.exp(-w) * i0_w * np.exp(v + w - sinh_arg)
         j = (c * (np.sqrt(b) * braces) + 3.0 / (4.0 * b) * (1.0 + u) * decay) * (
             -2.0 / np.expm1(-2.0 * sinh_arg))
-    _check_all(np.isfinite(j), j,
-               "exchange coupling falls outside the float range for these parameters")
+    _finite(j, _J_OVERFLOW)
     return float(j) if j.ndim == 0 else j
 
 
@@ -198,8 +198,7 @@ def sweep_exchange(p: DotParameters, b_fields, c: float | None = None) -> list[E
     with np.errstate(over="ignore"):
         b = _dimensionless_fields(p, _as_real(b_fields, "b_fields", one_dimensional=True))
         j = exchange_coupling(b, p.d, c) * p.hbar_omega0
-    _check_all(np.isfinite(j), j,
-               "exchange coupling falls outside the float range for these parameters")
+    _finite(j, _J_OVERFLOW)
     # tuple.__new__ is what ExchangeResult._make calls, minus a Python frame per point
     return list(map(tuple.__new__, repeat(ExchangeResult), zip(b.tolist(), repeat(c), j.tolist())))
 

@@ -8,8 +8,9 @@ twice their value (``twice_j``), so half-integer spins are exact integers.
 The argument contracts of the public API live here too: ``_as_integer``
 checks every integer argument and ``_as_float`` every real scalar one;
 ``_as_real`` converts every real-array argument and ``_square`` every matrix
-one, each importing numpy only when it is called; and ``_check_all`` is the one
-refusal of bad array elements, naming the first, through array methods alone.
+one, each importing numpy only when it is called; ``_check_all`` is the one
+refusal of bad array elements, naming the first, through array methods
+alone, and ``_finite`` the one of an inf or a nan, in an argument or a result.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ def _check_all(ok, values, message: str) -> None:
         raise ValueError(f"{message}, got {values[~ok].flat[0]}")
 
 
+def _finite(values, message: str = "result overflows the float range"):
+    """``values``, refused through ``_check_all`` if it holds an inf or a nan."""
+    from numpy import isfinite
+
+    _check_all(isfinite(values), values, message)
+    return values
+
+
 def _square(name: str, matrix):
     """``matrix`` as a numpy array, the one check of every matrix argument of
     the public API: a bool, integer, float or complex dtype, then a square
@@ -124,8 +133,7 @@ def _square(name: str, matrix):
         raise ValueError(f"{name} must be a square matrix, got shape {matrix.shape}")
     if matrix.size == 0:
         raise ValueError(f"{name} must not be empty, got shape {matrix.shape}")
-    _check_all(np.isfinite(matrix), matrix, f"{name} entries must be finite")
-    return matrix
+    return _finite(matrix, f"{name} entries must be finite")
 
 
 def _check_twice_j(twice_j) -> int:

@@ -7,8 +7,8 @@ while conserving coefficient count and energy.  Each level is two strided
 slices of the whole array, combined with ufuncs that write straight into
 buffers the call allocates once: the levels of a call take turns in them, so
 no level allocates an array of its own.  A result that an overflow leaves
-with inf or nan, like one from an input that is not finite, raises
-ValueError (``result overflows the float range, got inf``).
+with inf or nan, like one from an input that is not finite, is refused by
+``register._finite``: ValueError, ``result overflows the float range, got inf``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .register import _as_integer, _as_real, _check_all
+from .register import _as_integer, _as_real, _finite
 
 _S = 1.0 / sqrt(2.0)
 
@@ -40,12 +40,6 @@ class PyramidDecomposition(namedtuple("PyramidDecomposition", "approximation det
 
     def coefficient_count(self) -> int:
         return len(self.approximation) + sum(len(d) for d in self.details)
-
-
-def _finite(result: np.ndarray) -> np.ndarray:
-    """``result``, refused through ``_check_all`` if it holds an inf or a nan."""
-    _check_all(np.isfinite(result), result, "result overflows the float range")
-    return result
 
 
 def _butterfly(x: np.ndarray, y: np.ndarray, low: np.ndarray, high: np.ndarray,

@@ -110,9 +110,16 @@ def test_json_writer_round_trip():
     assert np.array_equal(_complex_matrix(_json(matrix)), matrix)
 
 
-def test_json_writer_rejects_non_finite():
-    with pytest.raises(ValueError, match=r"^array contains non-finite entries, got \(nan\+0j\)$"):
-        _json(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("write", [
+    lambda: _json(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    lambda: _json([complex(0.0, -np.inf)]),
+    lambda: cli._dumps({"fidelity_vs_swap": np.nan}),
+    lambda: cli._dumps({"unitary": [[[1.0, 0.0]]], "area": np.inf}),
+], ids=["matrix-nan", "vector-inf", "scalar-nan", "scalar-inf"])
+def test_json_writer_rejects_non_finite(write):
+    # the writer never prints NaN or Infinity, which are not JSON
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        write()
 
 
 _EDGE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -515,7 +522,7 @@ def test_module_errors_exit_one(capsys, tmp_path):
      "error: state amplitudes must be finite, got (inf+0j)\n"),
     (["transform", "--qubits", "2", "--in", "{state}"],
      {"state": "[[0,0],[1.7e308,0],[1.7e308,0],[0,0]]"},
-     "error: array contains non-finite entries, got (inf+0j)\n"),
+     "error: result overflows the float range, got (inf+0j)\n"),
     (["haar", "--in", "{signal}", "--levels", "2"], {"signal": "1e308\n" * 4},
      "error: result overflows the float range, got inf\n"),
     (["pulse", "--j0", "1.0", "--area=pi/"], {}, "error: cannot parse area 'pi/'\n"),

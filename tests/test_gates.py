@@ -124,6 +124,22 @@ def test_gate_functions_refuse_non_finite_entries(call, name, value):
         call()
 
 
+# Warnings are errors in this suite, so each row also shows that no numpy
+# overflow warning escapes first.
+_HUGE = np.full((2, 2), 1e200)
+
+
+@pytest.mark.parametrize("call,value", [
+    (lambda: gates.unitarity_defect(_HUGE), "inf"),
+    (lambda: gates.gate_fidelity(_HUGE, _HUGE), "inf"),
+    # the product overflows to inf, and the solve turns it into nan
+    (lambda: gates.to_multiplet(_HUGE, np.diag([1e200, 1e200])), "nan"),
+], ids=["defect", "fidelity", "multiplet"])
+def test_a_result_beyond_the_float_range_is_refused(call, value):
+    with pytest.raises(ValueError, match=f"^result overflows the float range, got {value}$"):
+        call()
+
+
 @pytest.mark.parametrize("call,name", [
     (lambda: gates.unitarity_defect(np.zeros((0, 0))), "u"),
     (lambda: gates.gate_fidelity(np.zeros((0, 0)), np.zeros((0, 0))), "u"),

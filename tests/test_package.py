@@ -2,8 +2,9 @@
 integer and scalar subcommands, a dot layer that loads numpy only in its
 array functions, no ``dataclasses`` anywhere, the names the
 numerical modules re-export, no unused imports in the package sources, one
-float conversion of real arrays, one constructor of spin records in
-``hierarchy``, and Python 3.10 grammar in every source."""
+float conversion of real arrays, one refusal of inf and nan elements, one
+constructor of spin records in ``hierarchy``, and Python 3.10 grammar in
+every source."""
 
 import ast
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import spinhier
-from spinhier import angular_momentum, gates, hierarchy, quantum_dot, register
+from spinhier import angular_momentum, gates, hierarchy, quantum_dot, register, wavelet
 
 # Run one subcommand through cli.main in a fresh interpreter, then report on
 # stderr which of numpy, dataclasses and inspect (which dataclasses imports)
@@ -105,10 +106,31 @@ def test_numerical_modules_re_export_the_numpy_free_names(module, source, names)
 def test_element_and_matrix_checks_are_defined_once_in_register():
     assert quantum_dot._check_all is register._check_all
     assert gates._square is register._square
+    assert wavelet._finite is register._finite
+    checks = {"_check_all", "_square", "_finite"}
     for path in Path(spinhier.__file__).parent.glob("*.py"):
         defined = {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(node, ast.FunctionDef)}
-        assert path.name == "register.py" or not defined & {"_check_all", "_square"}, path.name
+        assert path.name == "register.py" or not defined & checks, path.name
+
+
+def test_register_finite_is_the_one_finiteness_check_of_arrays():
+    # every numpy isfinite call of the package, by file and enclosing function;
+    # the one besides register._finite folds "finite and non-negative" into one message
+    calls = []
+    for path in Path(spinhier.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "np.isfinite", "numpy.isfinite", "isfinite"):
+                while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                    node = node.parent
+                calls.append((path.name, getattr(node, "name", None)))
+    calls.remove(("register.py", "_finite"))
+    assert calls == [("quantum_dot.py", "_dimensionless_fields")]
 
 
 def test_hierarchy_makes_spin_records_only_through_its_cached_constructor():
